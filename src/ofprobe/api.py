@@ -19,7 +19,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .engine import MAX_TTL, NoActiveSession, StateFull
 from .eventloop import Future
-from .frames import RouterIdentity
+from .frames import MAX_ECHO_PAYLOAD, RouterIdentity
 
 log = logging.getLogger(__name__)
 
@@ -78,6 +78,10 @@ class TokenBucket:
             return True
         return False
 
+    def refund(self, n):
+        """Give back tokens taken for work that never started."""
+        self._tokens = min(self.capacity, self._tokens + n)
+
 
 class ApiApp:
     def __init__(self, engine, policy):
@@ -135,11 +139,19 @@ class ApiApp:
             raise _BadRequest("request body must be a JSON object")
         return parsed
 
-    def _check_task(self, kind, probe_cost):
+    def _start_task(self, kind, probe_cost, start, *args, **kwargs):
+        """Apply policy and the probe budget, then start the task.  A task
+        the engine refuses (no session, id space full) is charged nothing."""
         if kind not in self.policy.allowed_tasks:
-            raise PermissionError(kind)
+            return 403, {"error": "%s tasks are not allowed by policy" % kind}
         if not self.bucket.try_take(probe_cost):
-            raise BlockingIOError(probe_cost)
+            return 429, {"error": "probe budget exhausted, retry later"}
+        try:
+            icmp_id = start(*args, **kwargs)
+        except (NoActiveSession, StateFull):
+            self.bucket.refund(probe_cost)
+            raise
+        return 200, {"icmp_id": icmp_id}
 
     # -- task routes -----------------------------------------------------------
 
@@ -156,18 +168,14 @@ class ApiApp:
         payload = body.get("payload", "")
         if not isinstance(payload, str):
             raise _BadRequest("payload must be a string")
+        payload = payload.encode("utf-8")
+        if len(payload) > MAX_ECHO_PAYLOAD:
+            raise _BadRequest("payload exceeds the %d bytes an Echo Request "
+                              "fits in the MTU" % MAX_ECHO_PAYLOAD)
         out_port = self._opt_int(body, "out_port")
         gap_us = self._opt_int(body, "gap_us")
-        try:
-            self._check_task("ping", num)
-        except PermissionError:
-            return 403, {"error": "ping tasks are not allowed by policy"}
-        except BlockingIOError:
-            return 429, {"error": "probe budget exhausted, retry later"}
-        icmp_id = self.engine.start_ping(target, num,
-                                         payload.encode("utf-8"),
-                                         out_port=out_port, gap_us=gap_us)
-        return 200, {"icmp_id": icmp_id}
+        return self._start_task("ping", num, self.engine.start_ping, target,
+                                num, payload, out_port=out_port, gap_us=gap_us)
 
     def put_traceroute(self, body):
         target = body.get("tgt")
@@ -180,15 +188,9 @@ class ApiApp:
             raise _BadRequest("probes_per_ttl too large for the sequence space")
         out_port = self._opt_int(body, "out_port")
         gap_us = self._opt_int(body, "gap_us")
-        try:
-            self._check_task("traceroute", MAX_TTL * ppt)
-        except PermissionError:
-            return 403, {"error": "traceroute tasks are not allowed by policy"}
-        except BlockingIOError:
-            return 429, {"error": "probe budget exhausted, retry later"}
-        icmp_id = self.engine.start_traceroute(target, ppt,
-                                               out_port=out_port, gap_us=gap_us)
-        return 200, {"icmp_id": icmp_id}
+        return self._start_task("traceroute", MAX_TTL * ppt,
+                                self.engine.start_traceroute, target, ppt,
+                                out_port=out_port, gap_us=gap_us)
 
     @staticmethod
     def _opt_int(body, key):

@@ -98,17 +98,17 @@ def cmd_ping(args):
         deadline)
     if entry is None:
         raise CliError("task %d disappeared from the dump" % icmp_id)
-    rtt_cs = entry["rtt_cs_us"] or 0.0
     answered = 0
-    for seq, (t_out, t_in, responder) in enumerate(entry["probes"]):
-        if t_in is None:
+    estimates = report_mod.task_estimates(entry)
+    for seq, (rtt, (_t_out, _t_in, responder)) in enumerate(
+            zip(estimates, entry["probes"])):
+        if rtt is None:
             print("seq %d: lost" % seq)
         else:
             answered += 1
-            rtt = max(0.0, (t_in - t_out) - rtt_cs)
             print("seq %d: %s rtt %s" % (seq, responder, _fmt_ms(rtt)))
     print("%d/%d answered, control-channel rtt %s"
-          % (answered, args.num, _fmt_ms(rtt_cs)))
+          % (answered, args.num, _fmt_ms(entry["rtt_cs_us"] or 0.0)))
     return EXIT_OK
 
 

@@ -20,6 +20,18 @@ echo taken at start.  Samples stop counting once the task is done, so a
 finished task's rtt_cs no longer moves.  The switch's own PacketOut and
 PacketIn processing is not part of any echo and stays in the estimate.
 
+Each task has at most one expiry timer.  Probes leave in increasing seq
+order, so the task keeps a cursor at its oldest record that may still be
+open and one deadline at that record's t_out + probe_timeout_us.  When the
+deadline fires it expires every open record whose timeout has passed and
+re-arms for the next open one; when the last open record is answered the
+deadline is cancelled, so a drained loop's clock stops at the last reply.
+A record still expires exactly probe_timeout_us after its own t_out.
+
+A task's Echo Request template (Ethernet header, addresses, payload and
+partial checksums) is built once when its probes start and handed along
+with each emission, so a probe only stamps its seq and TTL.
+
 ICMP identifiers are allocated from a single 16-bit space shared by every
 task kind, so a reply's (id, seq) pair is unambiguous engine-wide.  Ids are
 only recycled by an explicit clear; exhausting the space fails new tasks
@@ -31,8 +43,8 @@ from dataclasses import dataclass, field
 
 from . import frames
 from .eventloop import Future
-from .frames import EchoProbe, ReplyKind
-from .session import ACTIVE
+from .frames import ReplyKind
+from .session import ACTIVE, SessionClosed
 
 log = logging.getLogger(__name__)
 
@@ -110,14 +122,15 @@ class IdAllocator:
         self._in_use.discard(icmp_id)
 
 
-def estimate_rtt(record, rtt_cs_us):
-    """Corrected RTT for one probe record, or None while unanswered."""
-    if record.t_in is None:
+def corrected_rtt(t_out, t_in, rtt_cs_us):
+    """Corrected RTT of one probe, or None while unanswered.  A task whose
+    control channel was never sampled (rtt_cs_us None) subtracts zero."""
+    if t_in is None:
         return None
-    return max(0.0, (record.t_in - record.t_out) - rtt_cs_us)
+    return max(0.0, (t_in - t_out) - (rtt_cs_us or 0.0))
 
 
-@dataclass
+@dataclass(slots=True)
 class ProbeRecord:
     icmp_seq: int
     ttl: int
@@ -125,14 +138,13 @@ class ProbeRecord:
     t_in: int = None
     responder: str = None
     expired: bool = False
-    timer: object = None
 
     @property
     def resolved(self):
         return self.t_in is not None or self.expired
 
 
-@dataclass
+@dataclass(slots=True)
 class PingTask:
     icmp_id: int
     target: str
@@ -144,6 +156,8 @@ class PingTask:
     rtt_cs_sum: float = 0.0
     rtt_cs_count: int = 0
     records: dict = field(default_factory=dict)
+    oldest_open: int = 0      # no record below this seq is still open
+    deadline: object = None   # expiry timer of the oldest open record
     cleared: bool = False
 
     @property
@@ -152,7 +166,7 @@ class PingTask:
                 and all(r.resolved for r in self.records.values()))
 
 
-@dataclass
+@dataclass(slots=True)
 class TracerouteTask:
     icmp_id: int
     target: str
@@ -163,6 +177,8 @@ class TracerouteTask:
     rtt_cs_sum: float = 0.0
     rtt_cs_count: int = 0
     records: dict = field(default_factory=dict)
+    oldest_open: int = 0      # no record below this seq is still open
+    deadline: object = None   # expiry timer of the oldest open record
     dest_ttl: int = None
     emitted_all: bool = False
     cleared: bool = False
@@ -213,6 +229,7 @@ class MeasurementEngine:
             "malformed_frames": 0,
             "other_frames": 0,
             "echo_timeouts": 0,
+            "session_lost": 0,
             "router_id_served": 0,
         }
         self._session = None
@@ -269,6 +286,7 @@ class MeasurementEngine:
         if not 1 <= num <= self.settings.max_probes_per_task:
             raise ValueError("num must be in 1..%d"
                              % self.settings.max_probes_per_task)
+        frames.check_echo_payload(payload)
         session = self._require_session()
         icmp_id = self.allocator.allocate()
         task = PingTask(icmp_id=icmp_id, target=target, num=num,
@@ -313,7 +331,7 @@ class MeasurementEngine:
         else:
             # Probing proceeds on the last known estimate rather than
             # stalling the task behind a lost echo.
-            self.counters["echo_timeouts"] += 1
+            self._count_echo_failure(exc)
         self._add_rtt_cs(task, self.estimator.current or 0.0)
         emit(task)
 
@@ -326,9 +344,16 @@ class MeasurementEngine:
             return
         exc = fut.exception()
         if exc is not None:
-            self.counters["echo_timeouts"] += 1
+            self._count_echo_failure(exc)
         elif not task.done:
             self._add_rtt_cs(task, fut.result())
+
+    def _count_echo_failure(self, exc):
+        """An echo the closing session abandoned was never timed out."""
+        if isinstance(exc, SessionClosed):
+            self.counters["session_lost"] += 1
+        else:
+            self.counters["echo_timeouts"] += 1
 
     @staticmethod
     def _add_rtt_cs(task, sample_us):
@@ -338,31 +363,34 @@ class MeasurementEngine:
 
     # -- probe emission --------------------------------------------------------
 
+    def _echo_template(self, task, payload=b""):
+        return frames.echo_request_template(
+            self.settings.src_ip, task.target, self.settings.src_mac,
+            self.settings.next_hop_mac, task.icmp_id, payload)
+
     def _emit_ping_probes(self, task):
+        template = self._echo_template(task, task.payload)
         for seq in range(task.num):
             if task.gap_us:
                 self.loop.call_later(seq * task.gap_us,
-                                     self._send_ping_probe, task, seq)
+                                     self._send_ping_probe, task, template, seq)
             else:
-                self._send_ping_probe(task, seq)
+                self._send_ping_probe(task, template, seq)
 
-    def _send_ping_probe(self, task, seq):
+    def _send_ping_probe(self, task, template, seq):
         if task.cleared or not self.session_active():
             return
-        probe = EchoProbe(src_ip=self.settings.src_ip, dst_ip=task.target,
-                          src_mac=self.settings.src_mac,
-                          dst_mac=self.settings.next_hop_mac,
-                          icmp_id=task.icmp_id, icmp_seq=seq,
-                          payload=task.payload, ttl=self.settings.default_ttl)
-        self._send_record(task, seq, probe, self.settings.default_ttl)
+        self._send_record(task, template, seq, self.settings.default_ttl)
 
     def _emit_traceroute_probes(self, task):
+        template = self._echo_template(task)
         if task.gap_us:
             slot = 0
             for ttl in range(1, MAX_TTL + 1):
                 for idx in range(task.probes_per_ttl):
                     self.loop.call_later(slot * task.gap_us,
-                                         self._send_trace_probe, task, ttl, idx)
+                                         self._send_trace_probe, task,
+                                         template, ttl, idx)
                     slot += 1
             # The flag must trail the last scheduled emission or a dump
             # taken mid-task would read as terminated.
@@ -373,22 +401,18 @@ class MeasurementEngine:
                 if task.dest_ttl is not None:
                     break
                 for idx in range(task.probes_per_ttl):
-                    self._send_trace_probe(task, ttl, idx)
+                    self._send_trace_probe(task, template, ttl, idx)
             task.emitted_all = True
 
-    def _send_trace_probe(self, task, ttl, idx):
+    def _send_trace_probe(self, task, template, ttl, idx):
         if task.cleared or task.dest_ttl is not None \
                 or not self.session_active():
             return
-        seq = (ttl - 1) * task.probes_per_ttl + idx
-        probe = EchoProbe(src_ip=self.settings.src_ip, dst_ip=task.target,
-                          src_mac=self.settings.src_mac,
-                          dst_mac=self.settings.next_hop_mac,
-                          icmp_id=task.icmp_id, icmp_seq=seq, ttl=ttl)
-        self._send_record(task, seq, probe, ttl)
+        self._send_record(task, template,
+                          (ttl - 1) * task.probes_per_ttl + idx, ttl)
 
-    def _send_record(self, task, seq, probe, ttl):
-        frame = frames.build_echo_request(probe)
+    def _send_record(self, task, template, seq, ttl):
+        frame = frames.stamp_echo_request(template, seq, ttl)
         t_out = self._session.send_probe(task.out_port, frame)
         if task.gap_us and task.records:
             # Written after the PacketOut so it never delays the probe's
@@ -396,15 +420,41 @@ class MeasurementEngine:
             fut = self._session.sample_switch_rtt()
             fut.add_done_callback(
                 lambda f: self._after_emission_echo(f, task))
-        record = ProbeRecord(icmp_seq=seq, ttl=ttl, t_out=t_out)
-        record.timer = self.loop.call_later(self.settings.probe_timeout_us,
-                                            self._expire_record, task, seq)
-        task.records[seq] = record
+        task.records[seq] = ProbeRecord(icmp_seq=seq, ttl=ttl, t_out=t_out)
+        if task.deadline is None:
+            # nothing else is open, so this record is the oldest open one
+            task.oldest_open = seq
+            task.deadline = self.loop.call_at(
+                t_out + self.settings.probe_timeout_us,
+                self._expire_records, task)
 
-    def _expire_record(self, task, seq):
-        record = task.records.get(seq)
-        if record is not None and not record.resolved:
+    def _oldest_open(self, task):
+        """Move the task's cursor past resolved seqs, and past seqs never
+        sent because the session was down; returns the record it stops
+        at, or None when no record is open."""
+        records = task.records
+        last = next(reversed(records))
+        seq = task.oldest_open
+        while seq <= last:
+            record = records.get(seq)
+            if record is not None and not record.resolved:
+                task.oldest_open = seq
+                return record
+            seq += 1
+        task.oldest_open = seq
+        return None
+
+    def _expire_records(self, task):
+        """The task's deadline: expire each open record whose timeout has
+        passed, then re-arm for the oldest record still open."""
+        timeout = self.settings.probe_timeout_us
+        cutoff = self.loop.now_us() - timeout
+        record = self._oldest_open(task)
+        while record is not None and record.t_out <= cutoff:
             record.expired = True
+            record = self._oldest_open(task)
+        task.deadline = None if record is None else self.loop.call_at(
+            record.t_out + timeout, self._expire_records, task)
 
     # -- reply handling -----------------------------------------------------------
 
@@ -459,8 +509,10 @@ class MeasurementEngine:
             return False
         record.t_in = t_in
         record.responder = reply.responder_ip
-        if record.timer is not None:
-            record.timer.cancel()
+        if reply.icmp_seq == task.oldest_open \
+                and self._oldest_open(task) is None:
+            task.deadline.cancel()
+            task.deadline = None
         return True
 
     def _route_router_id_reply(self, reply):
@@ -546,7 +598,8 @@ class MeasurementEngine:
                         row.append([None, None])
                     else:
                         row.append([record.responder,
-                                    estimate_rtt(record, task.rtt_cs_us)])
+                                    corrected_rtt(record.t_out, record.t_in,
+                                                  task.rtt_cs_us)])
                 hops[str(ttl)] = row
             out[str(icmp_id)] = {
                 "tgt": task.target,
@@ -566,8 +619,7 @@ class MeasurementEngine:
     def _clear_tasks(self, table):
         for icmp_id, task in table.items():
             task.cleared = True
-            for record in task.records.values():
-                if record.timer is not None:
-                    record.timer.cancel()
+            if task.deadline is not None:
+                task.deadline.cancel()
             self.allocator.release(icmp_id)
         table.clear()

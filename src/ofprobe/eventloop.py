@@ -17,13 +17,14 @@ from collections import deque
 
 
 class Handle:
-    """A scheduled callback that can be cancelled before it runs."""
+    """A scheduled callback that can be cancelled before it runs.  A
+    cancelled handle stays queued and is dropped when it reaches the
+    front."""
 
-    __slots__ = ("when_us", "_seq", "_fn", "_args", "cancelled")
+    __slots__ = ("when_us", "_fn", "_args", "cancelled")
 
-    def __init__(self, when_us, seq, fn, args):
+    def __init__(self, when_us, fn, args):
         self.when_us = when_us
-        self._seq = seq
         self._fn = fn
         self._args = args
         self.cancelled = False
@@ -32,9 +33,6 @@ class Handle:
         self.cancelled = True
         self._fn = None
         self._args = None
-
-    def __lt__(self, other):
-        return (self.when_us, self._seq) < (other.when_us, other._seq)
 
 
 class Future:
@@ -90,7 +88,12 @@ class Future:
 
 
 class EventLoop:
-    """Priority queue of timed callbacks with two interchangeable drivers."""
+    """Priority queue of timed callbacks with two interchangeable drivers.
+
+    Queue entries are (when_us, seq, handle) tuples, so the heap orders
+    them with C tuple comparisons; seq breaks ties in scheduling order,
+    which runs callbacks due at the same instant first in, first out.
+    """
 
     def __init__(self, realtime=False):
         self.realtime = realtime
@@ -120,8 +123,9 @@ class EventLoop:
     # -- scheduling ------------------------------------------------------
 
     def call_at(self, when_us, fn, *args):
-        handle = Handle(int(when_us), next(self._seq), fn, args)
-        heapq.heappush(self._heap, handle)
+        when_us = int(when_us)
+        handle = Handle(when_us, fn, args)
+        heapq.heappush(self._heap, (when_us, next(self._seq), handle))
         return handle
 
     def call_later(self, delay_us, fn, *args):
@@ -140,11 +144,11 @@ class EventLoop:
     # -- virtual driver ----------------------------------------------------
 
     def _pop_due(self, limit_us):
-        while self._heap and self._heap[0].when_us <= limit_us:
-            handle = heapq.heappop(self._heap)
-            if handle.cancelled:
-                continue
-            return handle
+        heap = self._heap
+        while heap and heap[0][0] <= limit_us:
+            handle = heapq.heappop(heap)[2]
+            if not handle.cancelled:
+                return handle
         return None
 
     def run_until_idle(self, max_events=None):
@@ -250,10 +254,10 @@ class EventLoop:
             self.call_soon(fn, *args)
         timeout = None
         now = self.now_us()
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
         if self._heap:
-            timeout = max(0, self._heap[0].when_us - now) / 1e6
+            timeout = max(0, self._heap[0][0] - now) / 1e6
         events = self._selector.select(timeout if timeout is not None else 1.0)
         for key, mask in events:
             if key.fd == self._waker_r:
@@ -269,7 +273,7 @@ class EventLoop:
                 fn, args = self._writers[key.fd]
                 fn(*args)
         now = self.now_us()
-        while self._heap and self._heap[0].when_us <= now:
-            handle = heapq.heappop(self._heap)
+        while self._heap and self._heap[0][0] <= now:
+            handle = heapq.heappop(self._heap)[2]
             if not handle.cancelled:
                 handle._fn(*handle._args)

@@ -3,13 +3,20 @@
 Covers ICMP Echo, ICMP Time Exceeded, gratuitous ARP, and a private
 router-identity exchange carried in ICMP type 200.  All multi-byte fields
 are network byte order; MAC addresses are colon-separated strings and IPv4
-addresses dotted quads.
+addresses dotted quads at this module's surface.  Replies built from a
+received frame copy its raw address bytes and never convert them.
+
+Echo Requests are built from a per-task template: the Ethernet header, the
+addresses and the ones-complement sums of every IPv4 and ICMP word except
+the TTL and the sequence number are computed once, and each probe only
+adds those two words to the sums (RFC 1071 section 2, RFC 1624).
 """
 
-import socket
 import struct
 from dataclasses import dataclass
 from enum import Enum
+
+from .wire import ip_from_bytes, ip_to_bytes
 
 ETH_TYPE_IPV4 = 0x0800
 ETH_TYPE_ARP = 0x0806
@@ -24,11 +31,16 @@ ROUTER_ID_QUERY = 0
 ROUTER_ID_REPLY = 1
 
 MAX_FRAME_IP_LEN = 1500
+# IPv4 and ICMP Echo headers take 28 of the 1500 bytes
+MAX_ECHO_PAYLOAD = MAX_FRAME_IP_LEN - 28
 BROADCAST_MAC = "ff:ff:ff:ff:ff:ff"
 
 _ETH = struct.Struct("!6s6sH")
 _IPV4 = struct.Struct("!BBHHHBBH4s4s")
 _ICMP_ECHO = struct.Struct("!BBHHH")
+# What an Echo Request template leaves per probe: from the TTL byte of the
+# IPv4 header to the end of the ICMP header, addresses included.
+_ECHO_STAMP = struct.Struct("!BBH8sBBHHH")
 _ARP = struct.Struct("!HHBBH6s4s6s4s")
 
 
@@ -85,18 +97,26 @@ class RouterIdentity:
             raise ValueError("ident must encode to 1..64 bytes")
 
 
+def _word_sum(data):
+    """Plain sum of the big-endian 16-bit words of data, an odd trailing
+    byte padded with zero."""
+    if len(data) % 2:
+        data = bytes(data) + b"\x00"
+    return sum(struct.unpack("!%dH" % (len(data) // 2), data))
+
+
+def _complement(total):
+    """Fold a word sum to 16 bits with end-around carry and complement it."""
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
+
+
 def internet_checksum(data):
     """RFC 1071 ones-complement sum over 16-bit words, returned already
     complemented and ready to insert.  An odd trailing byte is padded with
     zero; empty input yields 0xFFFF."""
-    total = 0
-    if len(data) % 2:
-        data = bytes(data) + b"\x00"
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
+    return _complement(_word_sum(data))
 
 
 def mac_to_bytes(mac):
@@ -110,22 +130,10 @@ def mac_from_bytes(raw):
     return ":".join("%02x" % b for b in raw)
 
 
-def _ip_to_bytes(ip):
-    return socket.inet_aton(ip)
-
-
-def _ip_from_bytes(raw):
-    return socket.inet_ntoa(raw)
-
-
-def _ethernet(dst_mac, src_mac, eth_type, payload):
-    return _ETH.pack(mac_to_bytes(dst_mac), mac_to_bytes(src_mac), eth_type) + payload
-
-
-def _ipv4_header(src_ip, dst_ip, payload_len, ttl, proto=IP_PROTO_ICMP):
+def _ipv4_header(src, dst, payload_len, ttl, proto=IP_PROTO_ICMP):
+    """IPv4 header between two raw 4-byte addresses."""
     total = 20 + payload_len
-    head = _IPV4.pack(0x45, 0, total, 0, 0, ttl, proto, 0,
-                      _ip_to_bytes(src_ip), _ip_to_bytes(dst_ip))
+    head = _IPV4.pack(0x45, 0, total, 0, 0, ttl, proto, 0, src, dst)
     csum = internet_checksum(head)
     return head[:10] + struct.pack("!H", csum) + head[12:]
 
@@ -136,32 +144,66 @@ def _icmp(icmp_type, code, rest):
     return head[:2] + struct.pack("!H", csum) + head[4:]
 
 
+def check_echo_payload(payload):
+    """Raise PayloadTooLarge when an Echo Request carrying payload would
+    not fit a 1500-byte MTU."""
+    if len(payload) > MAX_ECHO_PAYLOAD:
+        raise PayloadTooLarge("payload of %d bytes exceeds the %d bytes an "
+                              "Echo Request fits in the MTU"
+                              % (len(payload), MAX_ECHO_PAYLOAD))
+
+
+def echo_request_template(src_ip, dst_ip, src_mac, dst_mac, icmp_id,
+                          payload=b""):
+    """Everything the Echo Requests of one task share, for
+    stamp_echo_request.  Raises PayloadTooLarge like check_echo_payload."""
+    check_echo_payload(payload)
+    payload = bytes(payload)
+    addrs = ip_to_bytes(src_ip) + ip_to_bytes(dst_ip)
+    ip_front = struct.pack("!BBHHH", 0x45, 0, 28 + len(payload), 0, 0)
+    head = _ETH.pack(mac_to_bytes(dst_mac), mac_to_bytes(src_mac),
+                     ETH_TYPE_IPV4) + ip_front
+    # sums of every word but TTL (the high byte of the TTL/protocol word)
+    # and the ICMP sequence number
+    ip_sum = _word_sum(ip_front + addrs) + IP_PROTO_ICMP
+    icmp_sum = _word_sum(struct.pack("!BBHH", ICMP_ECHO_REQUEST, 0, 0, icmp_id)
+                         + payload)
+    return head, addrs, ip_sum, icmp_sum, icmp_id, payload
+
+
+def stamp_echo_request(template, icmp_seq, ttl):
+    """One Echo Request frame from a task's template: only the TTL, the
+    sequence number and the two checksums they enter are new."""
+    head, addrs, ip_sum, icmp_sum, icmp_id, payload = template
+    return head + _ECHO_STAMP.pack(
+        ttl, IP_PROTO_ICMP, _complement(ip_sum + (ttl << 8)), addrs,
+        ICMP_ECHO_REQUEST, 0, _complement(icmp_sum + icmp_seq), icmp_id,
+        icmp_seq) + payload
+
+
 def build_echo_request(probe):
     """ICMP Echo Request frame for one probe.  Raises PayloadTooLarge when
     the IP datagram would not fit a 1500-byte MTU."""
-    if 20 + 8 + len(probe.payload) > MAX_FRAME_IP_LEN:
-        raise PayloadTooLarge("payload of %d bytes exceeds the MTU"
-                              % len(probe.payload))
-    rest = struct.pack("!HH", probe.icmp_id, probe.icmp_seq) + bytes(probe.payload)
-    icmp = _icmp(ICMP_ECHO_REQUEST, 0, rest)
-    ip = _ipv4_header(probe.src_ip, probe.dst_ip, len(icmp), probe.ttl)
-    return _ethernet(probe.dst_mac, probe.src_mac, ETH_TYPE_IPV4, ip + icmp)
+    template = echo_request_template(probe.src_ip, probe.dst_ip,
+                                     probe.src_mac, probe.dst_mac,
+                                     probe.icmp_id, probe.payload)
+    return stamp_echo_request(template, probe.icmp_seq, probe.ttl)
 
 
 def build_gratuitous_arp(ip, mac):
     """Gratuitous ARP reply announcing ip at mac to the broadcast domain."""
-    body = _ARP.pack(1, ETH_TYPE_IPV4, 6, 4, 2,
-                     mac_to_bytes(mac), _ip_to_bytes(ip),
-                     mac_to_bytes(mac), _ip_to_bytes(ip))
-    return _ethernet(BROADCAST_MAC, mac, ETH_TYPE_ARP, body)
+    raw_mac, raw_ip = mac_to_bytes(mac), ip_to_bytes(ip)
+    body = _ARP.pack(1, ETH_TYPE_IPV4, 6, 4, 2, raw_mac, raw_ip, raw_mac, raw_ip)
+    return _ETH.pack(mac_to_bytes(BROADCAST_MAC), raw_mac, ETH_TYPE_ARP) + body
 
 
 def build_router_id_query(src_ip, dst_ip, src_mac, dst_mac, icmp_id=0,
                           icmp_seq=0, ttl=64):
     rest = struct.pack("!HH", icmp_id, icmp_seq)
     icmp = _icmp(ICMP_ROUTER_ID, ROUTER_ID_QUERY, rest)
-    ip = _ipv4_header(src_ip, dst_ip, len(icmp), ttl)
-    return _ethernet(dst_mac, src_mac, ETH_TYPE_IPV4, ip + icmp)
+    ip = _ipv4_header(ip_to_bytes(src_ip), ip_to_bytes(dst_ip), len(icmp), ttl)
+    return (_ETH.pack(mac_to_bytes(dst_mac), mac_to_bytes(src_mac),
+                      ETH_TYPE_IPV4) + ip + icmp)
 
 
 def encode_router_identity(identity):
@@ -186,13 +228,14 @@ def decode_router_identity(payload):
 def _parse_ipv4(frame):
     """Split one IPv4-over-Ethernet frame into header fields and payload.
 
-    Returns None for non-IPv4 ethertypes and for frames whose IP options,
-    checksum or version mark them as something this platform never emits.
-    Raises MalformedFrame when the buffer is shorter than the declared
-    lengths."""
+    Returns (eth_dst, eth_src, src_ip, dst_ip, ttl, proto, ip_payload), the
+    MAC and IPv4 addresses as the raw bytes on the wire.  Returns None for
+    non-IPv4 ethertypes and for frames whose IP options, checksum or
+    version mark them as something this platform never emits.  Raises
+    MalformedFrame when the buffer is shorter than the declared lengths."""
     if len(frame) < 14:
         raise MalformedFrame("frame shorter than an Ethernet header")
-    dst, src, eth_type = _ETH.unpack_from(frame)
+    eth_dst, eth_src, eth_type = _ETH.unpack_from(frame)
     if eth_type != ETH_TYPE_IPV4:
         return None
     if len(frame) < 34:
@@ -205,15 +248,8 @@ def _parse_ipv4(frame):
         raise MalformedFrame("IPv4 total length exceeds the frame")
     if internet_checksum(frame[14:34]) != 0:
         return None
-    return {
-        "eth_dst": mac_from_bytes(dst),
-        "eth_src": mac_from_bytes(src),
-        "src_ip": _ip_from_bytes(src_ip),
-        "dst_ip": _ip_from_bytes(dst_ip),
-        "ttl": ttl,
-        "proto": proto,
-        "ip_payload": frame[34:14 + total_len],
-    }
+    return (eth_dst, eth_src, src_ip, dst_ip, ttl, proto,
+            frame[34:14 + total_len])
 
 
 def parse_reply(frame):
@@ -223,17 +259,15 @@ def parse_reply(frame):
     frames shorter than their declared headers raise MalformedFrame.
     """
     parsed = _parse_ipv4(frame)
-    if parsed is None:
+    if parsed is None or parsed[5] != IP_PROTO_ICMP:
         return ParsedReply(ReplyKind.OTHER)
-    if parsed["proto"] != IP_PROTO_ICMP:
-        return ParsedReply(ReplyKind.OTHER)
-    icmp = parsed["ip_payload"]
+    icmp = parsed[6]
     if len(icmp) < 8:
         raise MalformedFrame("ICMP message shorter than its header")
     if internet_checksum(icmp) != 0:
         return ParsedReply(ReplyKind.OTHER)
     icmp_type, code, _csum, ident, seq = _ICMP_ECHO.unpack_from(icmp)
-    responder = parsed["src_ip"]
+    responder = ip_from_bytes(parsed[2])
     if icmp_type == ICMP_ECHO_REPLY and code == 0:
         return ParsedReply(ReplyKind.ECHO_REPLY, responder, ident, seq, icmp[8:])
     if icmp_type == ICMP_TIME_EXCEEDED and code == 0:
@@ -256,15 +290,23 @@ def parse_router_id_query(frame):
         parsed = _parse_ipv4(frame)
     except MalformedFrame:
         return None
-    if parsed is None or parsed["proto"] != IP_PROTO_ICMP:
+    if parsed is None or parsed[5] != IP_PROTO_ICMP:
         return None
-    icmp = parsed["ip_payload"]
+    icmp = parsed[6]
     if len(icmp) < 8 or internet_checksum(icmp) != 0:
         return None
     icmp_type, code, _csum, ident, seq = _ICMP_ECHO.unpack_from(icmp)
     if icmp_type != ICMP_ROUTER_ID or code != ROUTER_ID_QUERY:
         return None
-    return parsed["src_ip"], ident, seq
+    return ip_from_bytes(parsed[2]), ident, seq
+
+
+def _reply_to(parsed, src_ip, icmp, ttl):
+    """Frame carrying icmp back to the sender of a parsed frame, from
+    src_ip (raw bytes), with the Ethernet addresses swapped."""
+    eth_dst, eth_src, sender_ip = parsed[0], parsed[1], parsed[2]
+    return (_ETH.pack(eth_src, eth_dst, ETH_TYPE_IPV4)
+            + _ipv4_header(src_ip, sender_ip, len(icmp), ttl) + icmp)
 
 
 def build_router_id_reply(query_frame, identity, ttl=64):
@@ -273,15 +315,13 @@ def build_router_id_reply(query_frame, identity, ttl=64):
     parsed = _parse_ipv4(query_frame)
     if parsed is None:
         raise MalformedFrame("identity query is not IPv4")
-    icmp = parsed["ip_payload"]
+    icmp = parsed[6]
     if len(icmp) < 8:
         raise MalformedFrame("identity query ICMP header incomplete")
     _t, _c, _csum, ident, seq = _ICMP_ECHO.unpack_from(icmp)
     rest = struct.pack("!HH", ident, seq) + encode_router_identity(identity)
-    out_icmp = _icmp(ICMP_ROUTER_ID, ROUTER_ID_REPLY, rest)
-    ip = _ipv4_header(parsed["dst_ip"], parsed["src_ip"], len(out_icmp), ttl)
-    return _ethernet(parsed["eth_src"], parsed["eth_dst"], ETH_TYPE_IPV4,
-                     ip + out_icmp)
+    return _reply_to(parsed, parsed[3],
+                     _icmp(ICMP_ROUTER_ID, ROUTER_ID_REPLY, rest), ttl)
 
 
 def build_echo_reply(request_frame, ttl=64):
@@ -290,13 +330,11 @@ def build_echo_reply(request_frame, ttl=64):
     parsed = _parse_ipv4(request_frame)
     if parsed is None:
         raise MalformedFrame("echo request is not IPv4")
-    icmp = parsed["ip_payload"]
+    icmp = parsed[6]
     if len(icmp) < 8:
         raise MalformedFrame("echo request ICMP header incomplete")
-    out_icmp = _icmp(ICMP_ECHO_REPLY, 0, icmp[4:])
-    ip = _ipv4_header(parsed["dst_ip"], parsed["src_ip"], len(out_icmp), ttl)
-    return _ethernet(parsed["eth_src"], parsed["eth_dst"], ETH_TYPE_IPV4,
-                     ip + out_icmp)
+    return _reply_to(parsed, parsed[3], _icmp(ICMP_ECHO_REPLY, 0, icmp[4:]),
+                     ttl)
 
 
 def build_time_exceeded(router_ip, original_frame, ttl=64):
@@ -305,11 +343,10 @@ def build_time_exceeded(router_ip, original_frame, ttl=64):
     parsed = _parse_ipv4(original_frame)
     if parsed is None:
         raise MalformedFrame("expired frame is not IPv4")
-    quote = original_frame[14:34] + parsed["ip_payload"][:8]
-    out_icmp = _icmp(ICMP_TIME_EXCEEDED, 0, b"\x00\x00\x00\x00" + quote)
-    ip = _ipv4_header(router_ip, parsed["src_ip"], len(out_icmp), ttl)
-    return _ethernet(parsed["eth_src"], parsed["eth_dst"], ETH_TYPE_IPV4,
-                     ip + out_icmp)
+    quote = original_frame[14:34] + parsed[6][:8]
+    return _reply_to(parsed, ip_to_bytes(router_ip),
+                     _icmp(ICMP_TIME_EXCEEDED, 0, b"\x00\x00\x00\x00" + quote),
+                     ttl)
 
 
 def parse_icmp(frame):
@@ -319,16 +356,16 @@ def parse_icmp(frame):
         parsed = _parse_ipv4(frame)
     except MalformedFrame:
         return None
-    if parsed is None or parsed["proto"] != IP_PROTO_ICMP:
+    if parsed is None or parsed[5] != IP_PROTO_ICMP:
         return None
-    icmp = parsed["ip_payload"]
+    icmp = parsed[6]
     if len(icmp) < 8:
         return None
     icmp_type, code, _csum, ident, seq = _ICMP_ECHO.unpack_from(icmp)
     return {
-        "src_ip": parsed["src_ip"],
-        "dst_ip": parsed["dst_ip"],
-        "ttl": parsed["ttl"],
+        "src_ip": ip_from_bytes(parsed[2]),
+        "dst_ip": ip_from_bytes(parsed[3]),
+        "ttl": parsed[4],
         "icmp_type": icmp_type,
         "icmp_code": code,
         "icmp_id": ident,
@@ -350,7 +387,7 @@ def match_fields(frame):
     if frame[14] != 0x45:
         return out
     out["ip_proto"] = frame[23]
-    out["ipv4_dst"] = _ip_from_bytes(frame[30:34])
+    out["ipv4_dst"] = ip_from_bytes(frame[30:34])
     if out["ip_proto"] == IP_PROTO_ICMP and len(frame) >= 36:
         out["icmpv4_type"] = frame[34]
         out["icmpv4_code"] = frame[35]

@@ -8,6 +8,8 @@ absolute/relative error against the topology's true RTT.
 import csv
 from dataclasses import dataclass
 
+from .engine import corrected_rtt
+
 
 class MismatchedTargets(Exception):
     """The dump probes an address the truth topology does not describe."""
@@ -29,14 +31,9 @@ class ReportRow:
 
 def task_estimates(entry):
     """Corrected RTT per probe of one dump entry (None where unanswered)."""
-    rtt_cs = entry["rtt_cs_us"] or 0.0
-    out = []
-    for t_out, t_in, _responder in entry["probes"]:
-        if t_in is None:
-            out.append(None)
-        else:
-            out.append(max(0.0, (t_in - t_out) - rtt_cs))
-    return out
+    rtt_cs = entry["rtt_cs_us"]
+    return [corrected_rtt(t_out, t_in, rtt_cs)
+            for t_out, t_in, _responder in entry["probes"]]
 
 
 def truth_map(topology):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ofprobe import netsim
+from ofprobe import frames, netsim
 from ofprobe.api import ApiApp, TokenBucket, render_json
 from ofprobe.config import PolicyConfig
 from ofprobe.engine import ID_SPACE, MeasurementEngine, ProbeSettings
@@ -135,6 +135,30 @@ def test_ping_validation_rejects(body):
     assert "error" in payload
 
 
+def test_ping_payload_is_capped_at_the_mtu():
+    stack, app = make_app()
+    in_use = stack.engine.allocator.in_use
+    tokens = app.bucket._tokens
+    too_big = json.dumps({"tgt": "192.0.2.1", "num": 2,
+                          "payload": "x" * 1473}).encode()
+    status, payload = app.dispatch("PUT", "/ping", too_big)
+    assert status == 400 and "error" in payload
+    with pytest.raises(frames.PayloadTooLarge):
+        stack.engine.start_ping("192.0.2.1", 2, b"x" * 1473)
+    assert stack.engine.allocator.in_use == in_use
+    assert app.bucket._tokens == tokens
+    stack.run()  # nothing was scheduled that could raise
+    assert stack.engine.pings == {}
+
+    fits = json.dumps({"tgt": "192.0.2.1", "num": 2,
+                       "payload": "x" * 1472}).encode()
+    status, payload = app.dispatch("PUT", "/ping", fits)
+    assert status == 200
+    stack.run()
+    entry = app.dispatch("GET", "/ping/dump")[1][str(payload["icmp_id"])]
+    assert [p[2] for p in entry["probes"]] == ["192.0.2.1"] * 2
+
+
 def test_ping_clear_reports_count():
     stack, app = make_app()
     app.dispatch("PUT", "/ping", PING_BODY)
@@ -220,6 +244,25 @@ def test_no_session_is_503_with_code():
     status, payload = app.dispatch("PUT", "/ping", PING_BODY)
     assert status == 503
     assert payload["code"] == "no_session"
+
+
+@pytest.mark.parametrize("path, body", [
+    ("/ping", PING_BODY),
+    ("/traceroute", json.dumps({"tgt": "192.0.2.1"}).encode()),
+])
+def test_refused_tasks_spend_no_budget(path, body):
+    engine = MeasurementEngine(EventLoop(), ProbeSettings())
+    app = ApiApp(engine, PolicyConfig())
+    tokens = app.bucket._tokens
+    assert app.dispatch("PUT", path, body)[1]["code"] == "no_session"
+    assert app.bucket._tokens == tokens
+
+    stack, app = make_app()
+    for _ in range(ID_SPACE):
+        stack.engine.allocator.allocate()
+    tokens = app.bucket._tokens
+    assert app.dispatch("PUT", path, body)[1]["code"] == "state_full"
+    assert app.bucket._tokens == tokens
 
 
 # -- router identity config -----------------------------------------------------------

@@ -9,14 +9,13 @@ from ofprobe.engine import (
     IdAllocator,
     MeasurementEngine,
     NoActiveSession,
-    ProbeRecord,
     ProbeSettings,
     RttEstimator,
     StateFull,
-    estimate_rtt,
+    corrected_rtt,
 )
 from ofprobe.eventloop import EventLoop, Future
-from ofprobe.session import ACTIVE, EchoTimeout
+from ofprobe.session import ACTIVE, EchoTimeout, SessionClosed
 from helpers import VirtualStack, make_topology
 
 
@@ -81,10 +80,9 @@ def test_estimate_stays_inside_sample_hull(alpha, samples):
 
 
 def test_corrected_rtt_clamps_at_zero():
-    rec = ProbeRecord(icmp_seq=0, ttl=64, t_out=1000, t_in=1500)
-    assert estimate_rtt(rec, 300.0) == 200.0
-    assert estimate_rtt(rec, 800.0) == 0.0
-    assert estimate_rtt(ProbeRecord(icmp_seq=0, ttl=64, t_out=1000), 0) is None
+    assert corrected_rtt(1000, 1500, 300.0) == 200.0
+    assert corrected_rtt(1000, 1500, 800.0) == 0.0
+    assert corrected_rtt(1000, None, 0) is None
 
 
 # -- id allocation ---------------------------------------------------------------
@@ -252,6 +250,81 @@ def test_clear_releases_ids_and_empties_dump():
     # ids become reusable
     assert stack.engine.start_ping("192.0.2.1", 1) == 5
     stack.loop.run_until_idle()
+
+
+# -- expiry deadline -------------------------------------------------------------
+
+
+def count_expiry_timers(stack):
+    """Wrap the loop's call_at so every timer aimed at the engine is
+    recorded."""
+    armed = []
+    call_at = stack.loop.call_at
+
+    def counting(when_us, fn, *args):
+        if getattr(fn, "__self__", None) is stack.engine:
+            armed.append(when_us)
+        return call_at(when_us, fn, *args)
+
+    stack.loop.call_at = counting
+    return armed
+
+
+def echo_reply_for(icmp_id, seq):
+    request = frames.build_echo_request(frames.EchoProbe(
+        src_ip="10.0.0.100", dst_ip="192.0.2.1",
+        src_mac="02:00:00:00:00:64", dst_mac="02:bb:bb:bb:bb:bb",
+        icmp_id=icmp_id, icmp_seq=seq))
+    return frames.build_echo_reply(request)
+
+
+@pytest.mark.parametrize("target", ["192.0.2.9", "192.0.2.66"])
+def test_back_to_back_traceroute_arms_one_expiry_timer(target):
+    stack = VirtualStack(trace_topo())
+    armed = count_expiry_timers(stack)
+    stack.run_traceroute(target, probes_per_ttl=3)
+    assert armed == [armed[0]]
+
+
+def test_spaced_silent_probes_expire_at_their_own_timeout():
+    stack = VirtualStack(ping_topo(responds=False))
+    timeout = stack.engine.settings.probe_timeout_us
+    icmp_id = stack.engine.start_ping("192.0.2.1", 4, gap_us=700_000)
+    task = stack.engine.pings[icmp_id]
+    stack.loop.run_for(3 * 700_000 + 100_000)  # every probe is out
+    for seq in range(4):
+        record = task.records[seq]
+        stack.loop.run_until(lambda: record.expired)
+        assert stack.loop.now_us() == record.t_out + timeout
+        if seq < 3:
+            assert not task.records[seq + 1].expired
+    stack.switch.receive_dataplane(echo_reply_for(icmp_id, 3), 1)
+    stack.loop.run_until_idle()
+    assert stack.engine.counters["late_replies"] == 1
+    assert stack.engine.dump_ping()[str(icmp_id)]["probes"][3][1] is None
+
+
+def test_answered_task_drains_at_its_last_reply():
+    stack = VirtualStack(ping_topo())
+    icmp_id = stack.engine.start_ping("192.0.2.1", 3, gap_us=20_000)
+    stack.loop.run_until_idle()
+    probes = stack.engine.dump_ping()[str(icmp_id)]["probes"]
+    assert all(t_in is not None for _t, t_in, _r in probes)
+    assert stack.loop.now_us() == max(t_in for _t, t_in, _r in probes)
+    assert stack.engine.pings[icmp_id].deadline is None
+
+
+def test_clear_cancels_the_deadline():
+    stack = VirtualStack(ping_topo(responds=False))
+    icmp_id = stack.engine.start_ping("192.0.2.1", 2)
+    stack.loop.run_for(100_000)
+    deadline = stack.engine.pings[icmp_id].deadline
+    assert deadline is not None and not deadline.cancelled
+    stack.engine.clear_ping()
+    assert deadline.cancelled
+    cleared_at = stack.loop.now_us()
+    stack.loop.run_until_idle()
+    assert stack.loop.now_us() == cleared_at  # nothing left to fire
 
 
 # -- traceroute -----------------------------------------------------------------
@@ -424,6 +497,16 @@ def test_echo_timeout_with_no_history_uses_zero():
     icmp_id = engine.start_ping("192.0.2.1", 1)
     loop.run_for(1000)
     assert engine.dump_ping()[str(icmp_id)]["rtt_cs_us"] == 0.0
+
+
+def test_session_closed_before_the_start_echo_is_not_a_timeout():
+    stack = VirtualStack(ping_topo())
+    icmp_id = stack.engine.start_ping("192.0.2.1", 2)
+    stack.session.close()
+    stack.loop.run_until_idle()
+    assert stack.engine.counters["echo_timeouts"] == 0
+    assert stack.engine.counters["session_lost"] == 1
+    assert stack.engine.dump_ping()[str(icmp_id)]["probes"] == []
 
 
 def test_newer_session_replaces_older():

@@ -4,6 +4,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ofprobe.eventloop import EventLoop, Future
 from ofprobe import transport
@@ -26,6 +27,28 @@ def test_same_instant_callbacks_run_in_schedule_order():
         loop.call_at(42, seen.append, i)
     loop.run_until_idle()
     assert seen == [0, 1, 2, 3, 4]
+
+
+@given(st.lists(st.tuples(st.integers(0, 5), st.sampled_from(
+    ["at", "later", "soon"]), st.booleans()), max_size=60))
+def test_equal_times_run_first_in_first_out(plan):
+    # few distinct due times, so most events tie with others
+    loop = EventLoop()
+    loop.run_for(2)
+    seen, expected = [], []
+    for i, (when, how, cancel) in enumerate(plan):
+        if how == "at":
+            handle = loop.call_at(when, seen.append, i)
+        elif how == "later":
+            handle = loop.call_later(when, seen.append, i)
+        else:
+            handle = loop.call_soon(seen.append, i)
+        if cancel:
+            handle.cancel()
+        else:
+            expected.append((handle.when_us, i))
+    loop.run_until_idle()
+    assert seen == [i for _when, i in sorted(expected)]
 
 
 def test_cancel_prevents_execution():

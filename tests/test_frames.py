@@ -1,5 +1,6 @@
 """Frame builder/parser tests with independently assembled fixtures."""
 
+import socket
 import struct
 
 import pytest
@@ -45,6 +46,24 @@ def test_checksum_odd_length_pads_with_zero():
     assert internet_checksum(b"\x12") == internet_checksum(b"\x12\x00")
 
 
+def word_loop_checksum(data):
+    """RFC 1071 spelled out one byte pair at a time: the reference the
+    builders' checksums are held to."""
+    if len(data) % 2:
+        data += b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
+
+
+@given(st.binary(max_size=300))
+def test_checksum_matches_word_loop(data):
+    assert internet_checksum(data) == word_loop_checksum(data)
+
+
 # Self-verification needs the checksum at an even offset, as every real
 # header places it; odd-length data would shift the word alignment.
 @given(st.binary(min_size=2, max_size=128).filter(lambda b: len(b) % 2 == 0))
@@ -80,6 +99,48 @@ def test_payload_cap_is_the_mtu():
     with pytest.raises(PayloadTooLarge):
         frames.build_echo_request(EchoProbe(**{**PROBE.__dict__,
                                                "payload": bytes(limit + 1)}))
+
+
+def assemble_echo_request(probe):
+    """Echo Request put together field by field, both checksums taken over
+    the whole header with word_loop_checksum."""
+    icmp = struct.pack("!BBHHH", 8, 0, 0, probe.icmp_id,
+                       probe.icmp_seq) + probe.payload
+    icmp = icmp[:2] + struct.pack("!H", word_loop_checksum(icmp)) + icmp[4:]
+    ip = struct.pack("!BBHHHBBH4s4s", 0x45, 0, 20 + len(icmp), 0, 0,
+                     probe.ttl, 1, 0, socket.inet_aton(probe.src_ip),
+                     socket.inet_aton(probe.dst_ip))
+    ip = ip[:10] + struct.pack("!H", word_loop_checksum(ip)) + ip[12:]
+    eth = (bytes.fromhex(probe.dst_mac.replace(":", ""))
+           + bytes.fromhex(probe.src_mac.replace(":", "")) + b"\x08\x00")
+    return eth + ip + icmp
+
+
+@given(icmp_id=st.integers(0, 0xFFFF),
+       stamps=st.lists(st.tuples(st.integers(0, 0xFFFF), st.integers(1, 255)),
+                       min_size=1, max_size=4),
+       payload_len=st.integers(0, frames.MAX_ECHO_PAYLOAD),
+       fill=st.integers(0, 255))
+def test_template_frames_match_the_reference(icmp_id, stamps, payload_len,
+                                             fill):
+    payload = bytes((fill + 37 * i) & 0xFF for i in range(payload_len))
+    template = frames.echo_request_template(
+        PROBE.src_ip, PROBE.dst_ip, PROBE.src_mac, PROBE.dst_mac, icmp_id,
+        payload)
+    # one template serves every probe of a task
+    for seq, ttl in stamps:
+        probe = EchoProbe(**{**PROBE.__dict__, "icmp_id": icmp_id,
+                             "icmp_seq": seq, "ttl": ttl, "payload": payload})
+        frame = frames.stamp_echo_request(template, seq, ttl)
+        assert frame == frames.build_echo_request(probe)
+        assert frame == assemble_echo_request(probe)
+
+
+def test_template_refuses_an_oversized_payload():
+    with pytest.raises(PayloadTooLarge):
+        frames.echo_request_template(
+            PROBE.src_ip, PROBE.dst_ip, PROBE.src_mac, PROBE.dst_mac, 1,
+            bytes(frames.MAX_ECHO_PAYLOAD + 1))
 
 
 def test_gratuitous_arp_matches_fixture():
@@ -120,6 +181,21 @@ def test_time_exceeded_quote_is_header_plus_8():
     assert len(quote) == 28
     assert quote[:20] == request[14:34]
     assert quote[20:] == request[34:42]
+
+
+def test_replies_swap_the_request_ethernet_addresses():
+    request = frames.build_echo_request(PROBE)
+    query = frames.build_router_id_query(
+        src_ip="10.0.0.100", dst_ip="203.0.113.5",
+        src_mac="02:00:00:00:00:64", dst_mac="02:00:00:00:00:01")
+    for sent, reply in (
+            (request, frames.build_echo_reply(request)),
+            (request, frames.build_time_exceeded("10.9.9.9", request)),
+            (query, frames.build_router_id_reply(
+                query, RouterIdentity(65001, "core-rtr-1")))):
+        assert reply[:6] == sent[6:12]
+        assert reply[6:12] == sent[:6]
+        assert reply[12:14] == b"\x08\x00"
 
 
 def test_probe_request_is_not_a_reply():
