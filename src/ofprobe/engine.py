@@ -41,7 +41,7 @@ with StateFull until then.
 import logging
 from dataclasses import dataclass, field
 
-from . import frames
+from . import frames, wire
 from .eventloop import Future
 from .frames import ReplyKind
 from .session import ACTIVE, SessionClosed
@@ -282,11 +282,13 @@ class MeasurementEngine:
     def start_ping(self, target, num, payload=b"", out_port=None,
                    gap_us=None) -> int:
         """Allocate an id and begin a ping task.  Probes flow only after a
-        fresh control-channel RTT sample."""
+        fresh control-channel RTT sample.  A bad target raises
+        wire.UnencodableMessage before any id is taken."""
         if not 1 <= num <= self.settings.max_probes_per_task:
             raise ValueError("num must be in 1..%d"
                              % self.settings.max_probes_per_task)
         frames.check_echo_payload(payload)
+        wire.ip_to_bytes(target)
         session = self._require_session()
         icmp_id = self.allocator.allocate()
         task = PingTask(icmp_id=icmp_id, target=target, num=num,
@@ -304,6 +306,7 @@ class MeasurementEngine:
         if probes_per_ttl < 1 or MAX_TTL * probes_per_ttl > ID_SPACE:
             raise ValueError("probes_per_ttl must be in 1..%d"
                              % (ID_SPACE // MAX_TTL))
+        wire.ip_to_bytes(target)
         session = self._require_session()
         icmp_id = self.allocator.allocate()
         task = TracerouteTask(icmp_id=icmp_id, target=target,
@@ -550,6 +553,7 @@ class MeasurementEngine:
                               timeout_us=2_000_000):
         """Ask a remote host for its identity.  The future resolves with a
         RouterIdentity or fails with TimeoutError."""
+        wire.ip_to_bytes(target)
         session = self._require_session()
         icmp_id = self.allocator.allocate()
         frame = frames.build_router_id_query(

@@ -6,6 +6,13 @@ are network byte order; MAC addresses are colon-separated strings and IPv4
 addresses dotted quads at this module's surface.  Replies built from a
 received frame copy its raw address bytes and never convert them.
 
+A received frame is parsed once, into an ICMP view: parse_reply,
+parse_router_id_query and parse_icmp all read that one parse, and the reply
+builders accept it.  internet_checksum reads its buffer as one big-endian
+integer: as 2**16 is 1 modulo 0xFFFF, that integer modulo 0xFFFF is the
+ones'-complement sum of its words (a nonzero multiple of 0xFFFF folds to
+0xFFFF).
+
 Echo Requests are built from a per-task template: the Ethernet header, the
 addresses and the ones-complement sums of every IPv4 and ICMP word except
 the TTL and the sequence number are computed once, and each probe only
@@ -38,6 +45,7 @@ BROADCAST_MAC = "ff:ff:ff:ff:ff:ff"
 _ETH = struct.Struct("!6s6sH")
 _IPV4 = struct.Struct("!BBHHHBBH4s4s")
 _ICMP_ECHO = struct.Struct("!BBHHH")
+_ICMP_HEAD = struct.Struct("!BBH")
 # What an Echo Request template leaves per probe: from the TTL byte of the
 # IPv4 header to the end of the ICMP header, addresses included.
 _ECHO_STAMP = struct.Struct("!BBH8sBBHHH")
@@ -75,7 +83,7 @@ class EchoProbe:
     ttl: int = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class ParsedReply:
     kind: ReplyKind
     responder_ip: str = ""
@@ -115,8 +123,12 @@ def _complement(total):
 def internet_checksum(data):
     """RFC 1071 ones-complement sum over 16-bit words, returned already
     complemented and ready to insert.  An odd trailing byte is padded with
-    zero; empty input yields 0xFFFF."""
-    return _complement(_word_sum(data))
+    zero; empty (or all-zero) input yields 0xFFFF."""
+    total = int.from_bytes(data, "big") << (8 * (len(data) & 1))
+    if not total:
+        return 0xFFFF
+    # the folded sum is (total - 1) % 0xFFFF + 1, in 1..0xFFFF
+    return 0xFFFE - (total - 1) % 0xFFFF
 
 
 def mac_to_bytes(mac):
@@ -133,15 +145,14 @@ def mac_from_bytes(raw):
 def _ipv4_header(src, dst, payload_len, ttl, proto=IP_PROTO_ICMP):
     """IPv4 header between two raw 4-byte addresses."""
     total = 20 + payload_len
-    head = _IPV4.pack(0x45, 0, total, 0, 0, ttl, proto, 0, src, dst)
-    csum = internet_checksum(head)
-    return head[:10] + struct.pack("!H", csum) + head[12:]
+    csum = internet_checksum(
+        _IPV4.pack(0x45, 0, total, 0, 0, ttl, proto, 0, src, dst))
+    return _IPV4.pack(0x45, 0, total, 0, 0, ttl, proto, csum, src, dst)
 
 
 def _icmp(icmp_type, code, rest):
-    head = struct.pack("!BB", icmp_type, code) + b"\x00\x00" + rest
-    csum = internet_checksum(head)
-    return head[:2] + struct.pack("!H", csum) + head[4:]
+    csum = internet_checksum(_ICMP_HEAD.pack(icmp_type, code, 0) + rest)
+    return _ICMP_HEAD.pack(icmp_type, code, csum) + rest
 
 
 def check_echo_payload(payload):
@@ -225,14 +236,14 @@ def decode_router_identity(payload):
     return RouterIdentity(asn, ident)
 
 
-def _parse_ipv4(frame):
-    """Split one IPv4-over-Ethernet frame into header fields and payload.
-
-    Returns (eth_dst, eth_src, src_ip, dst_ip, ttl, proto, ip_payload), the
-    MAC and IPv4 addresses as the raw bytes on the wire.  Returns None for
-    non-IPv4 ethertypes and for frames whose IP options, checksum or
-    version mark them as something this platform never emits.  Raises
-    MalformedFrame when the buffer is shorter than the declared lengths."""
+def _icmp_view(frame):
+    """The view (icmp_type, icmp_code, icmp_id, icmp_seq, ttl, src_ip,
+    dst_ip, icmp, eth_dst, eth_src) of an ICMPv4-over-Ethernet frame, with
+    addresses as the raw bytes on the wire and icmp the whole ICMP message.
+    None for other ethertypes and protocols, and for frames whose IP
+    options, checksum or version mark them as something this platform never
+    emits.  Raises MalformedFrame when the buffer is shorter than the
+    declared lengths."""
     if len(frame) < 14:
         raise MalformedFrame("frame shorter than an Ethernet header")
     eth_dst, eth_src, eth_type = _ETH.unpack_from(frame)
@@ -246,10 +257,31 @@ def _parse_ipv4(frame):
         return None
     if total_len < 20 or len(frame) < 14 + total_len:
         raise MalformedFrame("IPv4 total length exceeds the frame")
-    if internet_checksum(frame[14:34]) != 0:
+    if internet_checksum(frame[14:34]) != 0 or proto != IP_PROTO_ICMP:
         return None
-    return (eth_dst, eth_src, src_ip, dst_ip, ttl, proto,
-            frame[34:14 + total_len])
+    icmp = frame[34:14 + total_len]
+    if len(icmp) < 8:
+        raise MalformedFrame("ICMP message shorter than its header")
+    icmp_type, code, _csum, ident, seq = _ICMP_ECHO.unpack_from(icmp)
+    return (icmp_type, code, ident, seq, ttl, src_ip, dst_ip, icmp,
+            eth_dst, eth_src)
+
+
+def _view_of(frame, what):
+    view = _icmp_view(frame)
+    if view is None:
+        raise MalformedFrame("%s is not ICMPv4" % what)
+    return view
+
+
+def parse_icmp(frame):
+    """Loose ICMP view of a frame for dataplane emulation (the tuple
+    described at _icmp_view), or None when the frame is not well-formed
+    ICMPv4.  The ICMP checksum is not checked."""
+    try:
+        return _icmp_view(frame)
+    except MalformedFrame:
+        return None
 
 
 def parse_reply(frame):
@@ -258,120 +290,82 @@ def parse_reply(frame):
     Unknown, non-ICMP and checksum-damaged frames come back as OTHER;
     frames shorter than their declared headers raise MalformedFrame.
     """
-    parsed = _parse_ipv4(frame)
-    if parsed is None or parsed[5] != IP_PROTO_ICMP:
+    view = _icmp_view(frame)
+    if view is None:
         return ParsedReply(ReplyKind.OTHER)
-    icmp = parsed[6]
-    if len(icmp) < 8:
-        raise MalformedFrame("ICMP message shorter than its header")
+    icmp_type, code, ident, seq, _ttl, src_ip, _dst, icmp, _ed, _es = view
     if internet_checksum(icmp) != 0:
         return ParsedReply(ReplyKind.OTHER)
-    icmp_type, code, _csum, ident, seq = _ICMP_ECHO.unpack_from(icmp)
-    responder = ip_from_bytes(parsed[2])
     if icmp_type == ICMP_ECHO_REPLY and code == 0:
-        return ParsedReply(ReplyKind.ECHO_REPLY, responder, ident, seq, icmp[8:])
+        return ParsedReply(ReplyKind.ECHO_REPLY, ip_from_bytes(src_ip), ident,
+                           seq, icmp[8:])
     if icmp_type == ICMP_TIME_EXCEEDED and code == 0:
         quote = icmp[8:]
         if len(quote) < 28 or quote[0] != 0x45 or quote[9] != IP_PROTO_ICMP:
             return ParsedReply(ReplyKind.OTHER)
         inner_id, inner_seq = struct.unpack_from("!HH", quote, 24)
-        return ParsedReply(ReplyKind.TIME_EXCEEDED, responder, inner_id,
-                           inner_seq, quote)
+        return ParsedReply(ReplyKind.TIME_EXCEEDED, ip_from_bytes(src_ip),
+                           inner_id, inner_seq, quote)
     if icmp_type == ICMP_ROUTER_ID and code == ROUTER_ID_REPLY:
-        return ParsedReply(ReplyKind.ROUTER_ID_REPLY, responder, ident, seq,
-                           icmp[8:])
+        return ParsedReply(ReplyKind.ROUTER_ID_REPLY, ip_from_bytes(src_ip),
+                           ident, seq, icmp[8:])
     return ParsedReply(ReplyKind.OTHER)
 
 
 def parse_router_id_query(frame):
     """Return (querier_ip, icmp_id, icmp_seq) if the frame is a well-formed
     identity query, else None."""
-    try:
-        parsed = _parse_ipv4(frame)
-    except MalformedFrame:
+    view = parse_icmp(frame)
+    if view is None:
         return None
-    if parsed is None or parsed[5] != IP_PROTO_ICMP:
+    icmp_type, code, ident, seq, _ttl, src_ip, _dst, icmp, _ed, _es = view
+    if (icmp_type != ICMP_ROUTER_ID or code != ROUTER_ID_QUERY
+            or internet_checksum(icmp) != 0):
         return None
-    icmp = parsed[6]
-    if len(icmp) < 8 or internet_checksum(icmp) != 0:
-        return None
-    icmp_type, code, _csum, ident, seq = _ICMP_ECHO.unpack_from(icmp)
-    if icmp_type != ICMP_ROUTER_ID or code != ROUTER_ID_QUERY:
-        return None
-    return ip_from_bytes(parsed[2]), ident, seq
+    return ip_from_bytes(src_ip), ident, seq
 
 
-def _reply_to(parsed, src_ip, icmp, ttl):
-    """Frame carrying icmp back to the sender of a parsed frame, from
+def _reply_to(view, src_ip, icmp, ttl):
+    """Frame carrying icmp back to the sender of a viewed frame, from
     src_ip (raw bytes), with the Ethernet addresses swapped."""
-    eth_dst, eth_src, sender_ip = parsed[0], parsed[1], parsed[2]
+    _t, _c, _i, _s, _ttl, sender_ip, _dst, _msg, eth_dst, eth_src = view
     return (_ETH.pack(eth_src, eth_dst, ETH_TYPE_IPV4)
             + _ipv4_header(src_ip, sender_ip, len(icmp), ttl) + icmp)
 
 
-def build_router_id_reply(query_frame, identity, ttl=64):
+# The reply builders take the ICMP view of the frame they answer when the
+# caller already has it (parse_icmp); with None they parse the frame.
+
+def build_router_id_reply(query_frame, identity, view=None, ttl=64):
     """Answer an identity query, mirroring its addressing back at the
     querier."""
-    parsed = _parse_ipv4(query_frame)
-    if parsed is None:
-        raise MalformedFrame("identity query is not IPv4")
-    icmp = parsed[6]
-    if len(icmp) < 8:
-        raise MalformedFrame("identity query ICMP header incomplete")
-    _t, _c, _csum, ident, seq = _ICMP_ECHO.unpack_from(icmp)
+    if view is None:
+        view = _view_of(query_frame, "identity query")
+    _t, _c, ident, seq, _ttl, _src, dst_ip, _msg, _ed, _es = view
     rest = struct.pack("!HH", ident, seq) + encode_router_identity(identity)
-    return _reply_to(parsed, parsed[3],
+    return _reply_to(view, dst_ip,
                      _icmp(ICMP_ROUTER_ID, ROUTER_ID_REPLY, rest), ttl)
 
 
-def build_echo_reply(request_frame, ttl=64):
+def build_echo_reply(request_frame, view=None, ttl=64):
     """Loop an Echo Request back as the matching Echo Reply (used by the
     simulated targets)."""
-    parsed = _parse_ipv4(request_frame)
-    if parsed is None:
-        raise MalformedFrame("echo request is not IPv4")
-    icmp = parsed[6]
-    if len(icmp) < 8:
-        raise MalformedFrame("echo request ICMP header incomplete")
-    return _reply_to(parsed, parsed[3], _icmp(ICMP_ECHO_REPLY, 0, icmp[4:]),
-                     ttl)
+    if view is None:
+        view = _view_of(request_frame, "echo request")
+    _t, _c, _i, _s, _ttl, _src, dst_ip, icmp, _ed, _es = view
+    return _reply_to(view, dst_ip, _icmp(ICMP_ECHO_REPLY, 0, icmp[4:]), ttl)
 
 
-def build_time_exceeded(router_ip, original_frame, ttl=64):
+def build_time_exceeded(router_ip, original_frame, view=None, ttl=64):
     """ICMP Time Exceeded quoting the expired probe: inner IPv4 header plus
     the first 8 payload bytes, per the classic traceroute contract."""
-    parsed = _parse_ipv4(original_frame)
-    if parsed is None:
-        raise MalformedFrame("expired frame is not IPv4")
-    quote = original_frame[14:34] + parsed[6][:8]
-    return _reply_to(parsed, ip_to_bytes(router_ip),
+    if view is None:
+        view = _view_of(original_frame, "expired frame")
+    _t, _c, _i, _s, _ttl, _src, _dst, icmp, _ed, _es = view
+    quote = original_frame[14:34] + icmp[:8]
+    return _reply_to(view, ip_to_bytes(router_ip),
                      _icmp(ICMP_TIME_EXCEEDED, 0, b"\x00\x00\x00\x00" + quote),
                      ttl)
-
-
-def parse_icmp(frame):
-    """Loose ICMP view of a frame for dataplane emulation: header fields
-    plus id/seq words, or None when the frame is not well-formed ICMPv4."""
-    try:
-        parsed = _parse_ipv4(frame)
-    except MalformedFrame:
-        return None
-    if parsed is None or parsed[5] != IP_PROTO_ICMP:
-        return None
-    icmp = parsed[6]
-    if len(icmp) < 8:
-        return None
-    icmp_type, code, _csum, ident, seq = _ICMP_ECHO.unpack_from(icmp)
-    return {
-        "src_ip": ip_from_bytes(parsed[2]),
-        "dst_ip": ip_from_bytes(parsed[3]),
-        "ttl": parsed[4],
-        "icmp_type": icmp_type,
-        "icmp_code": code,
-        "icmp_id": ident,
-        "icmp_seq": seq,
-        "payload": icmp[8:],
-    }
 
 
 def match_fields(frame):

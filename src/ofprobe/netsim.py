@@ -337,32 +337,33 @@ def dataplane_process(topology, frame, emit_us, rng):
     hop count draw the target's base RTT; a TTL of k expiring at hop k
     yields Time Exceeded after twice the first k one-way hop delays.
     Identity queries are answered by configured hosts.  Everything else
-    (ARP announcements included) sinks silently.
+    (ARP announcements included) sinks silently.  The frame is parsed once;
+    the reply builders reuse that view.
     """
-    info = frames.parse_icmp(frame)
-    if info is None:
+    view = frames.parse_icmp(frame)
+    if view is None:
         return []
-    if info["icmp_type"] == frames.ICMP_ECHO_REQUEST:
-        target = topology.targets.get(info["dst_ip"])
+    icmp_type, code, _id, _seq, ttl, _src, dst_ip, _msg, _ed, _es = view
+    if icmp_type == frames.ICMP_ECHO_REQUEST:
+        target = topology.targets.get(wire.ip_from_bytes(dst_ip))
         if target is None:
             return []
         if target.loss_prob and rng.random() < target.loss_prob:
             return []
-        ttl = info["ttl"]
         if ttl <= len(target.hops):
             router_ip, _d = target.hops[ttl - 1]
             delay = 2 * sum(d for _ip, d in target.hops[:ttl])
-            return [(frames.build_time_exceeded(router_ip, frame),
+            return [(frames.build_time_exceeded(router_ip, frame, view),
                      emit_us + delay)]
         if not target.responds:
             return []
-        return [(frames.build_echo_reply(frame), emit_us + target.base_rtt_us)]
-    if (info["icmp_type"] == frames.ICMP_ROUTER_ID
-            and info["icmp_code"] == frames.ROUTER_ID_QUERY):
-        host = topology.router_id_hosts.get(info["dst_ip"])
+        return [(frames.build_echo_reply(frame, view),
+                 emit_us + target.base_rtt_us)]
+    if icmp_type == frames.ICMP_ROUTER_ID and code == frames.ROUTER_ID_QUERY:
+        host = topology.router_id_hosts.get(wire.ip_from_bytes(dst_ip))
         if host is None:
             return []
-        return [(frames.build_router_id_reply(frame, host.identity),
+        return [(frames.build_router_id_reply(frame, host.identity, view),
                  emit_us + host.rtt_us)]
     return []
 
@@ -371,7 +372,7 @@ def dataplane_process(topology, frame, emit_us, rng):
 class FlowRule:
     priority: int
     seqno: int
-    match: list
+    match: object  # items view; a subset of a frame's fields is a match
     out_port: int
 
 
@@ -455,7 +456,7 @@ class SimSwitch:
         elif t == wire.OFPT_FLOW_MOD:
             self._rule_seq += 1
             self.flow_rules.append(FlowRule(msg.body.priority, self._rule_seq,
-                                            list(msg.body.match),
+                                            dict(msg.body.match).items(),
                                             msg.body.out_port))
         elif t == wire.OFPT_PACKET_OUT:
             self._handle_packet_out(msg.body, bundled)
@@ -497,10 +498,10 @@ class SimSwitch:
         self.loop.call_at(send_at, self._send_packet_in, frame, port)
 
     def _best_match(self, frame):
-        fields = frames.match_fields(frame)
+        fields = frames.match_fields(frame).items()
         best = None
         for rule in self.flow_rules:
-            if all(fields.get(k) == v for k, v in rule.match):
+            if rule.match <= fields:
                 if best is None or (rule.priority, rule.seqno) > \
                         (best.priority, best.seqno):
                     best = rule

@@ -5,15 +5,20 @@ ECHO_REQUEST, ECHO_REPLY, FEATURES_REQUEST, FEATURES_REPLY, PACKET_IN,
 PACKET_OUT and FLOW_MOD.  Any other type decodes to an UnsupportedType
 error that still reports the byte length, so a stream reader can skip the
 message and stay in sync.
+
+Encoding leaves the range checks to ``struct``: a field that is negative,
+not an integer or too wide for its slot makes the pack fail, and
+encode_message turns that into UnencodableMessage.  Decoding reads each
+message where it sits in the buffer it arrived in; only the variable-length
+bodies (echo data, dataplane frames) are copied out.
 """
 
 import socket
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 OFP_VERSION = 0x04
 HEADER_LEN = 8
-MAX_MESSAGE_LEN = 0xFFFF
 
 OFPT_HELLO = 0
 OFPT_ECHO_REQUEST = 2
@@ -24,9 +29,9 @@ OFPT_PACKET_IN = 10
 OFPT_PACKET_OUT = 13
 OFPT_FLOW_MOD = 14
 
-SUPPORTED_TYPES = frozenset((
+# Types whose whole body is opaque bytes.
+_BYTES_BODY_TYPES = frozenset((
     OFPT_HELLO, OFPT_ECHO_REQUEST, OFPT_ECHO_REPLY, OFPT_FEATURES_REQUEST,
-    OFPT_FEATURES_REPLY, OFPT_PACKET_IN, OFPT_PACKET_OUT, OFPT_FLOW_MOD,
 ))
 
 NO_BUFFER = 0xFFFFFFFF
@@ -47,10 +52,16 @@ _MATCH_TYPE_OXM = 1
 _HEADER = struct.Struct("!BBHI")
 _FEATURES_BODY = struct.Struct("!QIBB2xII")
 _PACKET_IN_FIXED = struct.Struct("!IHBBQ")
+# A PacketIn as this codec writes it, up to the frame: header, fixed body,
+# a match holding only in_port (type, length 12, one 4-byte OXM, 4 bytes of
+# padding) and the 2 pad bytes before the frame.
+_PACKET_IN_HEAD = struct.Struct("!BBHIIHBBQHHHBBI4x2x")
 _PACKET_OUT_FIXED = struct.Struct("!IIH6x")
+_PACKET_OUT_HEAD = struct.Struct("!BBHIIIH6x")
 _FLOW_MOD_FIXED = struct.Struct("!QQBBHHHIIIH2x")
 _ACTION_OUTPUT_STRUCT = struct.Struct("!HHIH6x")
 _OXM_HEADER = struct.Struct("!HBB")
+_TYPE_LEN = struct.Struct("!HH")
 _INSTR_HEADER = struct.Struct("!HH4x")
 
 
@@ -85,7 +96,7 @@ class UnsupportedType(WireError):
 def ip_to_bytes(ip):
     try:
         return socket.inet_aton(ip)
-    except OSError:
+    except (OSError, TypeError):
         raise UnencodableMessage("bad IPv4 address %r" % (ip,))
 
 
@@ -116,62 +127,52 @@ def _encode_match_value(name, value):
     return _OXM_HEADER.pack(_OXM_CLASS_BASIC, fid << 1, length) + raw
 
 
-def _decode_oxm_list(raw):
-    """Yield (name, value) pairs; unknown fields yield (None, None)."""
-    pos = 0
-    out = []
-    while pos < len(raw):
-        if pos + 4 > len(raw):
-            raise TruncatedMessage("OXM header runs past match")
-        klass, fh, length = _OXM_HEADER.unpack_from(raw, pos)
-        pos += 4
-        if pos + length > len(raw):
-            raise TruncatedMessage("OXM value runs past match")
-        payload = raw[pos:pos + length]
-        pos += length
-        if klass != _OXM_CLASS_BASIC or fh & 1:
-            out.append((None, None))
-            continue
-        entry = _FIELD_BY_ID.get(fh >> 1)
-        if entry is None or entry[1] != length:
-            out.append((None, None))
-            continue
-        name = entry[0]
-        if name == "ipv4_dst":
-            out.append((name, ip_from_bytes(payload)))
-        else:
-            out.append((name, int.from_bytes(payload, "big")))
-    return out
-
-
 def _encode_match(fields):
     oxms = b"".join(_encode_match_value(name, value) for name, value in fields)
     length = 4 + len(oxms)
     pad = (-length) % 8
-    return struct.pack("!HH", _MATCH_TYPE_OXM, length) + oxms + b"\x00" * pad
+    return _TYPE_LEN.pack(_MATCH_TYPE_OXM, length) + oxms + b"\x00" * pad
 
 
-def _decode_match(raw, pos):
-    """Return (pairs, end_of_padded_match)."""
-    if pos + 4 > len(raw):
+def _decode_match(data, pos, end):
+    """Return (pairs, end_of_padded_match) for the match at data[pos:],
+    with (None, None) for each OXM field the codec does not know."""
+    if pos + 4 > end:
         raise TruncatedMessage("match header missing")
-    mtype, mlen = struct.unpack_from("!HH", raw, pos)
+    mtype, mlen = _TYPE_LEN.unpack_from(data, pos)
     if mtype != _MATCH_TYPE_OXM or mlen < 4:
         raise TruncatedMessage("malformed match header")
-    end = pos + mlen
-    if end > len(raw):
+    match_end = pos + mlen
+    if match_end > end:
         raise TruncatedMessage("match runs past message")
-    pairs = _decode_oxm_list(raw[pos + 4:end])
-    return pairs, pos + mlen + ((-mlen) % 8)
+    pairs = []
+    pos += 4
+    while pos < match_end:
+        if pos + 4 > match_end:
+            raise TruncatedMessage("OXM header runs past match")
+        klass, fh, length = _OXM_HEADER.unpack_from(data, pos)
+        pos += 4 + length
+        if pos > match_end:
+            raise TruncatedMessage("OXM value runs past match")
+        entry = _FIELD_BY_ID.get(fh >> 1)
+        if klass != _OXM_CLASS_BASIC or fh & 1 or entry is None \
+                or entry[1] != length:
+            pairs.append((None, None))
+        elif entry[0] == "ipv4_dst":
+            pairs.append((entry[0], ip_from_bytes(data[pos - 4:pos])))
+        else:
+            pairs.append((entry[0], int.from_bytes(data[pos - length:pos],
+                                                   "big")))
+    return pairs, match_end + ((-mlen) % 8)
 
 
-@dataclass
+@dataclass(slots=True)
 class OutputAction:
     port: int
     max_len: int = CTRL_MAX_LEN_NO_BUFFER
 
 
-@dataclass
+@dataclass(slots=True)
 class FeaturesReplyBody:
     datapath_id: int
     n_buffers: int = 0
@@ -181,7 +182,7 @@ class FeaturesReplyBody:
     reserved: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketOutBody:
     in_port: int
     actions: list
@@ -189,7 +190,7 @@ class PacketOutBody:
     buffer_id: int = NO_BUFFER
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketInBody:
     buffer_id: int
     total_len: int
@@ -200,7 +201,7 @@ class PacketInBody:
     frame: bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowModBody:
     cookie: int
     priority: int
@@ -218,7 +219,7 @@ class FlowModBody:
             seen.add(name)
 
 
-@dataclass
+@dataclass(slots=True)
 class OpenFlowMessage:
     msg_type: int
     xid: int
@@ -268,230 +269,229 @@ def flow_mod(xid, priority, match, cookie=0):
                                        match=list(match)))
 
 
-def _check_u(value, bits, what):
-    if not isinstance(value, int) or value < 0 or value >= (1 << bits):
-        raise UnencodableMessage("%s=%r does not fit %d bits" % (what, value, bits))
-
-
 def _encode_actions(actions):
     out = []
     for act in actions:
         if not isinstance(act, OutputAction):
             raise UnencodableMessage("only output actions can be encoded")
-        _check_u(act.port, 32, "action port")
-        _check_u(act.max_len, 16, "action max_len")
         out.append(_ACTION_OUTPUT_STRUCT.pack(_ACTION_OUTPUT, 16, act.port,
                                               act.max_len))
     return b"".join(out)
 
 
-def _decode_actions(raw):
+def _decode_actions(data, pos, end):
+    """The output actions in data[pos:end], or None when any other action
+    is present."""
     actions = []
-    pos = 0
-    while pos < len(raw):
-        if pos + 4 > len(raw):
+    while pos < end:
+        if pos + 4 > end:
             raise TruncatedMessage("action header runs past body")
-        atype, alen = struct.unpack_from("!HH", raw, pos)
-        if alen < 8 or pos + alen > len(raw):
+        atype, alen = _TYPE_LEN.unpack_from(data, pos)
+        if alen < 8 or pos + alen > end:
             raise TruncatedMessage("action length runs past body")
         if atype != _ACTION_OUTPUT or alen != 16:
             return None
-        _t, _l, port, max_len = _ACTION_OUTPUT_STRUCT.unpack_from(raw, pos)
+        _t, _l, port, max_len = _ACTION_OUTPUT_STRUCT.unpack_from(data, pos)
         actions.append(OutputAction(port, max_len))
         pos += alen
     return actions
 
 
 def encode_message(msg):
-    """Serialize an OpenFlowMessage to wire bytes."""
+    """Serialize an OpenFlowMessage to wire bytes.  Raises
+    UnencodableMessage for a message or field the wire cannot carry."""
     if msg.version != OFP_VERSION:
         raise UnencodableMessage("cannot encode version 0x%02x" % msg.version)
-    _check_u(msg.xid, 32, "xid")
     t = msg.msg_type
+    xid = msg.xid
     body = msg.body
-    if t in (OFPT_HELLO, OFPT_ECHO_REQUEST, OFPT_ECHO_REPLY, OFPT_FEATURES_REQUEST):
-        if not isinstance(body, (bytes, bytearray)):
-            raise UnencodableMessage("message type %d takes a bytes body" % t)
-        payload = bytes(body)
-    elif t == OFPT_FEATURES_REPLY:
-        _check_u(body.datapath_id, 64, "datapath_id")
-        _check_u(body.n_buffers, 32, "n_buffers")
-        _check_u(body.n_tables, 8, "n_tables")
-        _check_u(body.auxiliary_id, 8, "auxiliary_id")
-        _check_u(body.capabilities, 32, "capabilities")
-        _check_u(body.reserved, 32, "reserved")
-        payload = _FEATURES_BODY.pack(body.datapath_id, body.n_buffers,
-                                      body.n_tables, body.auxiliary_id,
-                                      body.capabilities, body.reserved)
-    elif t == OFPT_PACKET_OUT:
-        _check_u(body.buffer_id, 32, "buffer_id")
-        _check_u(body.in_port, 32, "in_port")
-        actions = _encode_actions(body.actions)
-        payload = (_PACKET_OUT_FIXED.pack(body.buffer_id, body.in_port,
+    try:
+        if t == OFPT_PACKET_OUT:
+            actions = _encode_actions(body.actions)
+            frame = bytes(body.frame)
+            total = _PACKET_OUT_HEAD.size + len(actions) + len(frame)
+            return (_PACKET_OUT_HEAD.pack(OFP_VERSION, t, total, xid,
+                                          body.buffer_id, body.in_port,
                                           len(actions))
-                   + actions + bytes(body.frame))
-    elif t == OFPT_PACKET_IN:
-        _check_u(body.buffer_id, 32, "buffer_id")
-        _check_u(body.total_len, 16, "total_len")
-        _check_u(body.reason, 8, "reason")
-        _check_u(body.table_id, 8, "table_id")
-        _check_u(body.cookie, 64, "cookie")
-        _check_u(body.in_port, 32, "in_port")
-        match = _encode_match([("in_port", body.in_port)])
-        payload = (_PACKET_IN_FIXED.pack(body.buffer_id, body.total_len,
-                                         body.reason, body.table_id,
-                                         body.cookie)
-                   + match + b"\x00\x00" + bytes(body.frame))
-    elif t == OFPT_FLOW_MOD:
-        _check_u(body.cookie, 64, "cookie")
-        _check_u(body.priority, 16, "priority")
-        _check_u(body.out_port, 32, "out_port")
-        match = _encode_match(body.match)
-        actions = _encode_actions([OutputAction(body.out_port, body.max_len)])
-        instr = _INSTR_HEADER.pack(_INSTR_APPLY_ACTIONS, 8 + len(actions)) + actions
-        payload = (_FLOW_MOD_FIXED.pack(body.cookie, 0, 0, OFPFC_ADD, 0, 0,
-                                        body.priority, NO_BUFFER, PORT_ANY,
-                                        GROUP_ANY, 0)
-                   + match + instr)
-    else:
-        raise UnencodableMessage("cannot encode message type %d" % t)
-    total = HEADER_LEN + len(payload)
-    if total > MAX_MESSAGE_LEN:
-        raise UnencodableMessage("message length %d exceeds 16-bit limit" % total)
-    return _HEADER.pack(OFP_VERSION, t, total, msg.xid) + payload
+                    + actions + frame)
+        if t == OFPT_PACKET_IN:
+            frame = bytes(body.frame)
+            total = _PACKET_IN_HEAD.size + len(frame)
+            return _PACKET_IN_HEAD.pack(
+                OFP_VERSION, t, total, xid, body.buffer_id, body.total_len,
+                body.reason, body.table_id, body.cookie, _MATCH_TYPE_OXM, 12,
+                _OXM_CLASS_BASIC, 0, 4, body.in_port) + frame
+        if t in _BYTES_BODY_TYPES:
+            if not isinstance(body, (bytes, bytearray)):
+                raise UnencodableMessage("message type %d takes a bytes body"
+                                         % t)
+            payload = bytes(body)
+        elif t == OFPT_FEATURES_REPLY:
+            payload = _FEATURES_BODY.pack(body.datapath_id, body.n_buffers,
+                                          body.n_tables, body.auxiliary_id,
+                                          body.capabilities, body.reserved)
+        elif t == OFPT_FLOW_MOD:
+            match = _encode_match(body.match)
+            actions = _encode_actions([OutputAction(body.out_port,
+                                                    body.max_len)])
+            instr = (_INSTR_HEADER.pack(_INSTR_APPLY_ACTIONS, 8 + len(actions))
+                     + actions)
+            payload = (_FLOW_MOD_FIXED.pack(body.cookie, 0, 0, OFPFC_ADD, 0, 0,
+                                            body.priority, NO_BUFFER, PORT_ANY,
+                                            GROUP_ANY, 0)
+                       + match + instr)
+        else:
+            raise UnencodableMessage("cannot encode message type %d" % t)
+        return _HEADER.pack(OFP_VERSION, t, HEADER_LEN + len(payload),
+                            xid) + payload
+    except struct.error as exc:
+        raise UnencodableMessage("cannot encode message type %d: %s"
+                                 % (t, exc)) from None
 
 
-def _decode_packet_in(raw, xid):
-    if len(raw) < HEADER_LEN + _PACKET_IN_FIXED.size:
+def _decode_packet_in(data, pos, end):
+    if pos + _PACKET_IN_FIXED.size > end:
         raise TruncatedMessage("packet_in body too short")
     buffer_id, total_len, reason, table_id, cookie = \
-        _PACKET_IN_FIXED.unpack_from(raw, HEADER_LEN)
-    pairs, pos = _decode_match(raw, HEADER_LEN + _PACKET_IN_FIXED.size)
-    in_port = None
-    for name, value in pairs:
-        if name == "in_port":
-            in_port = value
+        _PACKET_IN_FIXED.unpack_from(data, pos)
+    pairs, pos = _decode_match(data, pos + _PACKET_IN_FIXED.size, end)
+    in_port = dict(pairs).get("in_port")
     if in_port is None:
-        raise UnsupportedType(OFPT_PACKET_IN, len(raw))
-    if pos + 2 > len(raw):
+        return None
+    if pos + 2 > end:
         raise TruncatedMessage("packet_in pad missing")
-    frame = raw[pos + 2:]
-    body = PacketInBody(buffer_id, total_len, reason, table_id, cookie,
-                        in_port, frame)
-    return OpenFlowMessage(OFPT_PACKET_IN, xid, body)
+    return PacketInBody(buffer_id, total_len, reason, table_id, cookie,
+                        in_port, bytes(data[pos + 2:end]))
 
 
-def _decode_packet_out(raw, xid):
-    if len(raw) < HEADER_LEN + _PACKET_OUT_FIXED.size:
+def _decode_packet_out(data, pos, end):
+    if pos + _PACKET_OUT_FIXED.size > end:
         raise TruncatedMessage("packet_out body too short")
-    buffer_id, in_port, actions_len = _PACKET_OUT_FIXED.unpack_from(raw, HEADER_LEN)
-    pos = HEADER_LEN + _PACKET_OUT_FIXED.size
-    if pos + actions_len > len(raw):
+    buffer_id, in_port, actions_len = _PACKET_OUT_FIXED.unpack_from(data, pos)
+    pos += _PACKET_OUT_FIXED.size
+    if pos + actions_len > end:
         raise TruncatedMessage("packet_out actions run past message")
-    actions = _decode_actions(raw[pos:pos + actions_len])
+    actions = _decode_actions(data, pos, pos + actions_len)
     if actions is None:
-        raise UnsupportedType(OFPT_PACKET_OUT, len(raw))
-    frame = raw[pos + actions_len:]
-    body = PacketOutBody(in_port=in_port, actions=actions, frame=frame,
-                         buffer_id=buffer_id)
-    return OpenFlowMessage(OFPT_PACKET_OUT, xid, body)
+        return None
+    return PacketOutBody(in_port, actions, bytes(data[pos + actions_len:end]),
+                         buffer_id)
 
 
-def _decode_flow_mod(raw, xid):
-    if len(raw) < HEADER_LEN + _FLOW_MOD_FIXED.size:
+def _decode_flow_mod(data, pos, end):
+    if pos + _FLOW_MOD_FIXED.size > end:
         raise TruncatedMessage("flow_mod body too short")
     (cookie, _cmask, _table, command, _idle, _hard, priority, _buf,
-     _out_port, _out_group, _flags) = _FLOW_MOD_FIXED.unpack_from(raw, HEADER_LEN)
+     _out_port, _out_group, _flags) = _FLOW_MOD_FIXED.unpack_from(data, pos)
     if command != OFPFC_ADD:
-        raise UnsupportedType(OFPT_FLOW_MOD, len(raw))
-    pairs, pos = _decode_match(raw, HEADER_LEN + _FLOW_MOD_FIXED.size)
-    match = []
-    for name, value in pairs:
-        if name is None or name == "in_port":
-            raise UnsupportedType(OFPT_FLOW_MOD, len(raw))
-        match.append((name, value))
-    if pos + _INSTR_HEADER.size > len(raw):
+        return None
+    pairs, pos = _decode_match(data, pos + _FLOW_MOD_FIXED.size, end)
+    if any(name is None or name == "in_port" for name, _value in pairs):
+        return None
+    if pos + _INSTR_HEADER.size > end:
         raise TruncatedMessage("flow_mod instruction missing")
-    itype, ilen = struct.unpack_from("!HH", raw, pos)
-    if itype != _INSTR_APPLY_ACTIONS or pos + ilen != len(raw):
-        raise UnsupportedType(OFPT_FLOW_MOD, len(raw))
-    actions = _decode_actions(raw[pos + _INSTR_HEADER.size:])
+    itype, ilen = _TYPE_LEN.unpack_from(data, pos)
+    if itype != _INSTR_APPLY_ACTIONS or pos + ilen != end:
+        return None
+    actions = _decode_actions(data, pos + _INSTR_HEADER.size, end)
     if actions is None or len(actions) != 1:
-        raise UnsupportedType(OFPT_FLOW_MOD, len(raw))
-    body = FlowModBody(cookie=cookie, priority=priority, match=match,
+        return None
+    return FlowModBody(cookie=cookie, priority=priority, match=pairs,
                        out_port=actions[0].port, max_len=actions[0].max_len)
-    return OpenFlowMessage(OFPT_FLOW_MOD, xid, body)
 
 
-def decode_message(data):
-    """Decode one message from the head of ``data``.
+def decode_message(data, pos=0):
+    """Decode the message that starts at offset ``pos`` of ``data``, reading
+    it in place.
 
     Returns (OpenFlowMessage, consumed).  Raises TruncatedMessage when more
-    bytes are needed, BadVersion on a foreign version byte, and
-    UnsupportedType (with the skippable length) for types outside the
-    supported subset.
+    bytes are needed or when a message's contents run past its own declared
+    length, BadVersion on a foreign version byte, and UnsupportedType (with
+    the skippable length) for types outside the supported subset.
     """
-    if len(data) < HEADER_LEN:
-        raise TruncatedMessage("%d header bytes missing" % (HEADER_LEN - len(data)))
-    version, msg_type, length, xid = _HEADER.unpack_from(data)
+    have = len(data) - pos
+    if have < HEADER_LEN:
+        raise TruncatedMessage("%d header bytes missing" % (HEADER_LEN - have))
+    version, msg_type, length, xid = _HEADER.unpack_from(data, pos)
     if version != OFP_VERSION:
         raise BadVersion(version)
     if length < HEADER_LEN:
         raise BadVersion(version)
-    if len(data) < length:
+    if have < length:
         raise TruncatedMessage("message needs %d bytes, have %d"
-                               % (length, len(data)))
-    raw = bytes(data[:length])
-    if msg_type not in SUPPORTED_TYPES:
-        raise UnsupportedType(msg_type, length)
-    if msg_type in (OFPT_HELLO, OFPT_ECHO_REQUEST, OFPT_ECHO_REPLY,
-                    OFPT_FEATURES_REQUEST):
-        msg = OpenFlowMessage(msg_type, xid, raw[HEADER_LEN:])
+                               % (length, have))
+    start = pos + HEADER_LEN
+    end = pos + length
+    if msg_type == OFPT_PACKET_IN:
+        body = _decode_packet_in(data, start, end)
+    elif msg_type == OFPT_PACKET_OUT:
+        body = _decode_packet_out(data, start, end)
+    elif msg_type in _BYTES_BODY_TYPES:
+        body = bytes(data[start:end])
     elif msg_type == OFPT_FEATURES_REPLY:
         if length < HEADER_LEN + _FEATURES_BODY.size:
             raise TruncatedMessage("features_reply body too short")
-        dpid, n_buffers, n_tables, aux, caps, reserved = \
-            _FEATURES_BODY.unpack_from(raw, HEADER_LEN)
-        msg = OpenFlowMessage(msg_type, xid,
-                              FeaturesReplyBody(dpid, n_buffers, n_tables,
-                                                aux, caps, reserved))
-    elif msg_type == OFPT_PACKET_IN:
-        msg = _decode_packet_in(raw, xid)
-    elif msg_type == OFPT_PACKET_OUT:
-        msg = _decode_packet_out(raw, xid)
+        body = FeaturesReplyBody(*_FEATURES_BODY.unpack_from(data, start))
+    elif msg_type == OFPT_FLOW_MOD:
+        body = _decode_flow_mod(data, start, end)
     else:
-        msg = _decode_flow_mod(raw, xid)
-    return msg, length
+        body = None
+    if body is None:
+        raise UnsupportedType(msg_type, length)
+    return OpenFlowMessage(msg_type, xid, body), length
 
 
 class MessageStream:
     """Reassembles OpenFlow messages from an arbitrarily chunked byte feed.
 
     TCP gives no message framing: a segment may carry many messages and the
-    last one may be cut anywhere.  feed() returns every complete message,
-    keeps the partial tail buffered, silently skips unsupported types
-    (counting them), and lets BadVersion escape so the session can abort.
+    last one may be cut anywhere.  feed() walks the bytes by each message's
+    declared length, decodes every complete message where it sits and keeps
+    only an incomplete tail.  It skips and counts unsupported types
+    (``skipped``) and complete messages that do not parse (``malformed``),
+    and lets BadVersion escape so the session can abort.
     """
 
     def __init__(self):
         self._buf = bytearray()
         self.skipped = 0
+        self.malformed = 0
 
     def pending(self):
         return len(self._buf)
 
     def feed(self, data):
-        self._buf += data
+        buf = self._buf
+        if buf:
+            buf += data
+            data = buf
+        end = len(data)
+        pos = 0
         out = []
-        while self._buf:
-            try:
-                msg, consumed = decode_message(self._buf)
-            except TruncatedMessage:
-                break
-            except UnsupportedType as exc:
-                self.skipped += 1
-                del self._buf[:exc.consumed]
-                continue
-            out.append(msg)
-            del self._buf[:consumed]
+        try:
+            while pos < end:
+                try:
+                    msg, consumed = decode_message(data, pos)
+                except UnsupportedType as exc:
+                    self.skipped += 1
+                    pos += exc.consumed
+                    continue
+                except TruncatedMessage:
+                    # Either more bytes are needed, or the whole message is
+                    # here and its contents run past its declared length.
+                    if end - pos < HEADER_LEN:
+                        break
+                    length = _HEADER.unpack_from(data, pos)[2]
+                    if end - pos < length:
+                        break
+                    self.malformed += 1
+                    pos += length
+                    continue
+                out.append(msg)
+                pos += consumed
+        finally:
+            if data is buf:
+                del buf[:pos]
+            elif pos < end:
+                buf += data[pos:]
         return out

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ofprobe import frames, netsim
+from ofprobe import frames, netsim, wire
 from ofprobe.engine import (
     ID_SPACE,
     IdAllocator,
@@ -237,6 +237,25 @@ def test_no_session_refused():
         engine.start_ping("192.0.2.1", 1)
     with pytest.raises(NoActiveSession):
         engine.start_traceroute("192.0.2.1")
+
+
+@pytest.mark.parametrize("start", [
+    lambda engine: engine.start_ping("not-an-ip", 1),
+    lambda engine: engine.start_ping(None, 1),
+    lambda engine: engine.start_traceroute("not-an-ip"),
+    lambda engine: engine.start_router_id_query("not-an-ip"),
+], ids=["ping", "ping_none", "traceroute", "router_id_query"])
+def test_bad_target_is_refused_before_an_id_is_taken(start):
+    stack = VirtualStack(ping_topo())
+    with pytest.raises(wire.UnencodableMessage):
+        start(stack.engine)
+    assert stack.engine.allocator.in_use == 0
+    assert stack.engine.dump_ping() == {}
+    assert stack.engine.dump_traceroute() == {}
+    stack.loop.run_until_idle()  # nothing was scheduled that could raise
+    assert stack.engine.start_ping("192.0.2.1", 1) == 0
+    stack.loop.run_until_idle()
+    assert stack.engine.dump_ping()["0"]["probes"][0][2] == "192.0.2.1"
 
 
 def test_clear_releases_ids_and_empties_dump():

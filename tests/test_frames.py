@@ -64,6 +64,19 @@ def test_checksum_matches_word_loop(data):
     assert internet_checksum(data) == word_loop_checksum(data)
 
 
+# The edges of the one-integer reading: a word sum that is a nonzero
+# multiple of 0xFFFF folds to 0xFFFF (checksum 0), an all-zero sum stays 0
+# (checksum 0xFFFF).
+@pytest.mark.parametrize("data, want", [
+    (b"\xff\xff", 0x0000),
+    (b"\xff\xfe\x00\x01", 0x0000),
+    (bytes(2), 0xFFFF),
+    (bytes(20), 0xFFFF),
+])
+def test_checksum_fold_edges(data, want):
+    assert internet_checksum(data) == want == word_loop_checksum(data)
+
+
 # Self-verification needs the checksum at an even offset, as every real
 # header places it; odd-length data would shift the word alignment.
 @given(st.binary(min_size=2, max_size=128).filter(lambda b: len(b) % 2 == 0))
@@ -281,6 +294,42 @@ def test_identity_query_reply_exchange():
     # an echo request is not a query
     assert frames.parse_router_id_query(
         frames.build_echo_request(PROBE)) is None
+
+
+# -- reply builders given the caller's view ----------------------------------
+
+
+_ipv4 = st.tuples(*[st.integers(0, 255)] * 4).map(
+    lambda t: "%d.%d.%d.%d" % t)
+_mac = st.binary(min_size=6, max_size=6).map(frames.mac_from_bytes)
+
+
+@given(src=_ipv4, dst=_ipv4, src_mac=_mac, dst_mac=_mac,
+       icmp_id=st.integers(0, 0xFFFF), seq=st.integers(0, 0xFFFF),
+       ttl=st.integers(1, 255), payload=st.binary(max_size=64),
+       router=_ipv4, asn=st.integers(0, 0xFFFFFFFF))
+def test_reply_builders_same_bytes_with_a_passed_view(
+        src, dst, src_mac, dst_mac, icmp_id, seq, ttl, payload, router, asn):
+    request = frames.build_echo_request(EchoProbe(
+        src, dst, src_mac, dst_mac, icmp_id, seq, payload, ttl))
+    view = frames.parse_icmp(request)
+    assert view is not None
+    assert frames.build_echo_reply(request, view) \
+        == frames.build_echo_reply(request)
+    assert frames.build_time_exceeded(router, request, view) \
+        == frames.build_time_exceeded(router, request)
+
+    query = frames.build_router_id_query(src, dst, src_mac, dst_mac,
+                                         icmp_id, seq, ttl)
+    identity = RouterIdentity(asn, "rtr-%d" % seq)
+    assert frames.build_router_id_reply(query, identity,
+                                        frames.parse_icmp(query)) \
+        == frames.build_router_id_reply(query, identity)
+
+
+def test_reply_builders_refuse_non_icmp():
+    with pytest.raises(MalformedFrame):
+        frames.build_echo_reply(GARP_FIXTURE)
 
 
 # -- flow-table field extraction ----------------------------------------------

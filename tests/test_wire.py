@@ -142,6 +142,43 @@ def test_encode_rejects_out_of_range_fields():
         wire.encode_message(wire.packet_out(1, 1 << 32, b""))
 
 
+def _set_body(msg, **fields):
+    for name, value in fields.items():
+        setattr(msg.body, name, value)
+    return msg
+
+
+# name -> (width in bits, message carrying the value in that field)
+RANGED_FIELDS = {
+    "xid": (32, lambda v: wire.hello(v)),
+    "packet_out.buffer_id": (
+        32, lambda v: _set_body(wire.packet_out(1, 1, b""), buffer_id=v)),
+    "packet_out.in_port": (32, lambda v: wire.packet_out(1, 1, b"", in_port=v)),
+    "action port": (32, lambda v: wire.packet_out(1, v, b"")),
+    "packet_in.buffer_id": (
+        32, lambda v: _set_body(wire.packet_in(1, 1, b""), buffer_id=v)),
+    "total_len": (16, lambda v: wire.packet_in(1, 1, b"", total_len=v)),
+    "reason": (8, lambda v: wire.packet_in(1, 1, b"", reason=v)),
+    "table_id": (8, lambda v: wire.packet_in(1, 1, b"", table_id=v)),
+    "packet_in.cookie": (64, lambda v: wire.packet_in(1, 1, b"", cookie=v)),
+    "packet_in.in_port": (32, lambda v: wire.packet_in(1, v, b"")),
+    "priority": (16, lambda v: wire.flow_mod(1, v, [("ip_proto", 1)])),
+    "flow_mod.cookie": (
+        64, lambda v: wire.flow_mod(1, 1, [("ip_proto", 1)], cookie=v)),
+    "datapath_id": (64, lambda v: wire.features_reply(1, v)),
+}
+
+
+@pytest.mark.parametrize("bad", ["too_wide", "negative", "not_an_int"])
+@pytest.mark.parametrize("name", sorted(RANGED_FIELDS))
+def test_encode_rejects_each_field_out_of_range(name, bad):
+    bits, build = RANGED_FIELDS[name]
+    wire.encode_message(build((1 << bits) - 1))  # the widest value fits
+    value = {"too_wide": 1 << bits, "negative": -1, "not_an_int": 1.5}[bad]
+    with pytest.raises(wire.UnencodableMessage):
+        wire.encode_message(build(value))
+
+
 def test_flow_mod_rejects_unknown_and_duplicate_match():
     with pytest.raises(ValueError):
         wire.FlowModBody(0, 1, [("tcp_dst", 80)])
@@ -231,6 +268,49 @@ def test_stream_skips_unsupported_types_and_counts():
     out = stream.feed(alien + good + alien + good)
     assert [m.xid for m in out] == [5, 5]
     assert stream.skipped == 2
+
+
+def test_stream_decodes_ninety_packet_outs_from_one_segment():
+    messages = [wire.packet_out(xid, 1, bytes([xid]) * 64)
+                for xid in range(90)]
+    stream = wire.MessageStream()
+    got = stream.feed(b"".join(wire.encode_message(m) for m in messages))
+    assert [m.xid for m in got] == list(range(90))
+    assert [m.body.frame for m in got] == [m.body.frame for m in messages]
+    assert stream.pending() == 0
+
+
+def test_decode_reads_a_message_where_it_sits():
+    raw = wire.encode_message(wire.echo_request(4, b"data"))
+    msg, consumed = wire.decode_message(b"junk" + raw + b"tail", 4)
+    assert (msg.xid, msg.body, consumed) == (4, b"data", len(raw))
+
+
+def malformed_packet_in():
+    """A complete PacketIn whose match length (offset 26) runs past the
+    message's own end."""
+    raw = bytearray(wire.encode_message(wire.packet_in(7, 1, bytes(20))))
+    struct.pack_into("!H", raw, 26, 200)
+    return bytes(raw)
+
+
+def test_stream_skips_a_malformed_message_and_stays_in_sync():
+    stream = wire.MessageStream()
+    assert stream.feed(malformed_packet_in()) == []
+    assert (stream.malformed, stream.pending()) == (1, 0)
+    for xid in (8, 9, 10):
+        got = stream.feed(wire.encode_message(wire.echo_request(xid)))
+        assert [m.xid for m in got] == [xid]
+        assert stream.pending() == 0
+
+
+def test_stream_waits_for_a_split_malformed_message():
+    blob = malformed_packet_in() + wire.encode_message(wire.echo_request(8))
+    stream = wire.MessageStream()
+    assert stream.feed(blob[:30]) == []
+    assert (stream.malformed, stream.pending()) == (0, 30)
+    assert [m.xid for m in stream.feed(blob[30:])] == [8]
+    assert (stream.malformed, stream.pending()) == (1, 0)
 
 
 def test_stream_bad_version_escapes_with_partial_results():
