@@ -23,15 +23,16 @@ from .frames import MAX_ECHO_PAYLOAD, RouterIdentity
 
 log = logging.getLogger(__name__)
 
+# (method, path) -> (handler, leading arguments before the request body)
 _ROUTES = {
-    ("PUT", "/ping"): "put_ping",
-    ("GET", "/ping/dump"): "get_ping_dump",
-    ("POST", "/ping/clear"): "post_ping_clear",
-    ("PUT", "/traceroute"): "put_traceroute",
-    ("GET", "/traceroute/dump"): "get_traceroute_dump",
-    ("POST", "/traceroute/clear"): "post_traceroute_clear",
-    ("GET", "/routerid/config"): "get_router_config",
-    ("PUT", "/routerid/config"): "put_router_config",
+    ("PUT", "/ping"): ("put_task", "ping"),
+    ("GET", "/ping/dump"): ("get_dump", "ping"),
+    ("POST", "/ping/clear"): ("post_clear", "ping"),
+    ("PUT", "/traceroute"): ("put_task", "traceroute"),
+    ("GET", "/traceroute/dump"): ("get_dump", "traceroute"),
+    ("POST", "/traceroute/clear"): ("post_clear", "traceroute"),
+    ("GET", "/routerid/config"): ("get_router_config",),
+    ("PUT", "/routerid/config"): ("put_router_config",),
 }
 _KNOWN_PATHS = {path for _m, path in _ROUTES}
 
@@ -101,13 +102,15 @@ class ApiApp:
             path = path.rstrip("/")
         if not self._authorized(headers):
             return 403, {"error": "missing or invalid bearer token"}
-        handler_name = _ROUTES.get((method, path))
-        if handler_name is None:
+        route = _ROUTES.get((method, path))
+        if route is None:
             if path in _KNOWN_PATHS:
                 return 405, {"error": "method %s not allowed here" % method}
             return 404, {"error": "no such resource"}
+        handler, *args = route
         try:
-            return getattr(self, handler_name)(self._parse_body(method, body))
+            return getattr(self, handler)(*args,
+                                          self._parse_body(method, body))
         except _BadRequest as exc:
             return 400, {"error": str(exc)}
         except StateFull as exc:
@@ -139,26 +142,32 @@ class ApiApp:
             raise _BadRequest("request body must be a JSON object")
         return parsed
 
-    def _start_task(self, kind, probe_cost, start, *args, **kwargs):
-        """Apply policy and the probe budget, then start the task.  A task
-        the engine refuses (no session, id space full) is charged nothing."""
+    # -- task routes -----------------------------------------------------------
+
+    def put_task(self, kind, body):
+        """Validate tgt, the kind's own fields, out_port and gap_us, in that
+        order; then apply policy and the probe budget and start the task.
+        A task the engine refuses (no session, id space full) is charged
+        nothing."""
+        target = body.get("tgt")
+        if not _is_ipv4(target):
+            raise _BadRequest("tgt must be a dotted IPv4 address")
+        probe_cost, args = getattr(self, "_%s_args" % kind)(body)
+        out_port = self._opt_int(body, "out_port")
+        gap_us = self._opt_int(body, "gap_us")
         if kind not in self.policy.allowed_tasks:
             return 403, {"error": "%s tasks are not allowed by policy" % kind}
         if not self.bucket.try_take(probe_cost):
             return 429, {"error": "probe budget exhausted, retry later"}
         try:
-            icmp_id = start(*args, **kwargs)
+            icmp_id = getattr(self.engine, "start_" + kind)(
+                target, *args, out_port=out_port, gap_us=gap_us)
         except (NoActiveSession, StateFull):
             self.bucket.refund(probe_cost)
             raise
         return 200, {"icmp_id": icmp_id}
 
-    # -- task routes -----------------------------------------------------------
-
-    def put_ping(self, body):
-        target = body.get("tgt")
-        if not _is_ipv4(target):
-            raise _BadRequest("tgt must be a dotted IPv4 address")
+    def _ping_args(self, body):
         num = body.get("num", 1)
         if not isinstance(num, int) or isinstance(num, bool) or num < 1:
             raise _BadRequest("num must be a positive integer")
@@ -172,25 +181,16 @@ class ApiApp:
         if len(payload) > MAX_ECHO_PAYLOAD:
             raise _BadRequest("payload exceeds the %d bytes an Echo Request "
                               "fits in the MTU" % MAX_ECHO_PAYLOAD)
-        out_port = self._opt_int(body, "out_port")
-        gap_us = self._opt_int(body, "gap_us")
-        return self._start_task("ping", num, self.engine.start_ping, target,
-                                num, payload, out_port=out_port, gap_us=gap_us)
+        return num, (num, payload)
 
-    def put_traceroute(self, body):
-        target = body.get("tgt")
-        if not _is_ipv4(target):
-            raise _BadRequest("tgt must be a dotted IPv4 address")
+    @staticmethod
+    def _traceroute_args(body):
         ppt = body.get("probes_per_ttl", 1)
         if not isinstance(ppt, int) or isinstance(ppt, bool) or ppt < 1:
             raise _BadRequest("probes_per_ttl must be a positive integer")
         if MAX_TTL * ppt > 65536:
             raise _BadRequest("probes_per_ttl too large for the sequence space")
-        out_port = self._opt_int(body, "out_port")
-        gap_us = self._opt_int(body, "gap_us")
-        return self._start_task("traceroute", MAX_TTL * ppt,
-                                self.engine.start_traceroute, target, ppt,
-                                out_port=out_port, gap_us=gap_us)
+        return MAX_TTL * ppt, (ppt,)
 
     @staticmethod
     def _opt_int(body, key):
@@ -203,21 +203,11 @@ class ApiApp:
 
     # -- dumps, clears, config ---------------------------------------------------
 
-    def get_ping_dump(self, _body):
-        return 200, self.engine.dump_ping()
+    def get_dump(self, kind, _body):
+        return 200, getattr(self.engine, "dump_" + kind)()
 
-    def post_ping_clear(self, _body):
-        cleared = len(self.engine.pings)
-        self.engine.clear_ping()
-        return 200, {"cleared": cleared}
-
-    def get_traceroute_dump(self, _body):
-        return 200, self.engine.dump_traceroute()
-
-    def post_traceroute_clear(self, _body):
-        cleared = len(self.engine.traceroutes)
-        self.engine.clear_traceroute()
-        return 200, {"cleared": cleared}
+    def post_clear(self, kind, _body):
+        return 200, {"cleared": getattr(self.engine, "clear_" + kind)()}
 
     def get_router_config(self, _body):
         identity = self.engine.router_identity

@@ -62,24 +62,34 @@ def _fmt_ms(us):
     return "%.3f ms" % (us / 1000.0)
 
 
-def _poll_dump(controller, path, icmp_id, done, deadline_s):
-    """Poll a dump endpoint until done(entry) or the deadline; returns the
-    last entry seen."""
-    entry = None
-    while True:
-        dump = _request("GET", _api(controller, path))
-        entry = dump.get(str(icmp_id))
-        if entry is not None and done(entry):
-            return entry
-        if time.monotonic() >= deadline_s:
-            return entry
-        time.sleep(POLL_INTERVAL_S)
-
-
 def _probe_window_s(args, probes):
     # Worst case: every probe lost and paced by the emission gap.
     gap_s = (args.gap_us or 0) * probes / 1e6
     return 3.0 + CLIENT_GRACE_S + gap_s
+
+
+def _run_task(args, kind, body, announce, probes, done):
+    """PUT a task, print announce(icmp_id), then poll its dump entry until
+    done(entry) or the probe window closes.  Returns (icmp_id, the last
+    entry seen, or None when the task is gone from the dump)."""
+    icmp_id = _request("PUT", _api(args.controller, "/%s/" % kind),
+                       body)["icmp_id"]
+    print(announce(icmp_id))
+    deadline = time.monotonic() + _probe_window_s(args, probes)
+    while True:
+        dump = _request("GET", _api(args.controller, "/%s/dump" % kind))
+        entry = dump.get(str(icmp_id))
+        if (entry is not None and done(entry)) \
+                or time.monotonic() >= deadline:
+            return icmp_id, entry
+        time.sleep(POLL_INTERVAL_S)
+
+
+def _run_ping(args, body, announce):
+    num = body["num"]
+    return _run_task(args, "ping", body, announce, num,
+                     lambda e: len(e["probes"]) == num
+                     and all(p[1] is not None for p in e["probes"]))
 
 
 def cmd_ping(args):
@@ -88,14 +98,9 @@ def cmd_ping(args):
         body["out_port"] = args.out_port
     if args.gap_us is not None:
         body["gap_us"] = args.gap_us
-    icmp_id = _request("PUT", _api(args.controller, "/ping/"), body)["icmp_id"]
-    print("ping %s: %d probe(s), icmp_id %d" % (args.target, args.num, icmp_id))
-    deadline = time.monotonic() + _probe_window_s(args, args.num)
-    entry = _poll_dump(
-        args.controller, "/ping/dump", icmp_id,
-        lambda e: len(e["probes"]) == args.num
-        and all(p[1] is not None for p in e["probes"]),
-        deadline)
+    icmp_id, entry = _run_ping(
+        args, body, lambda icmp_id: "ping %s: %d probe(s), icmp_id %d"
+        % (args.target, args.num, icmp_id))
     if entry is None:
         raise CliError("task %d disappeared from the dump" % icmp_id)
     answered = 0
@@ -116,14 +121,11 @@ def cmd_traceroute(args):
     body = {"tgt": args.target, "probes_per_ttl": args.probes_per_ttl}
     if args.out_port is not None:
         body["out_port"] = args.out_port
-    icmp_id = _request("PUT", _api(args.controller, "/traceroute/"),
-                       body)["icmp_id"]
-    print("traceroute %s: %d probe(s) per ttl, icmp_id %d"
-          % (args.target, args.probes_per_ttl, icmp_id))
-    deadline = time.monotonic() + _probe_window_s(
-        args, 30 * args.probes_per_ttl)
-    entry = _poll_dump(args.controller, "/traceroute/dump", icmp_id,
-                       lambda e: e["terminated"] != "in_progress", deadline)
+    icmp_id, entry = _run_task(
+        args, "traceroute", body,
+        lambda icmp_id: "traceroute %s: %d probe(s) per ttl, icmp_id %d"
+        % (args.target, args.probes_per_ttl, icmp_id),
+        30 * args.probes_per_ttl, lambda e: e["terminated"] != "in_progress")
     if entry is None:
         raise CliError("task %d disappeared from the dump" % icmp_id)
     for ttl in sorted(entry["hops"], key=int):
@@ -183,14 +185,8 @@ def cmd_report(args):
 
 def cmd_calibrate(args):
     body = {"tgt": args.target, "num": args.samples, "gap_us": args.gap_us}
-    icmp_id = _request("PUT", _api(args.controller, "/ping/"), body)["icmp_id"]
-    print("calibration task %d: %d probes, gap %d us"
-          % (icmp_id, args.samples, args.gap_us))
-    deadline = time.monotonic() + _probe_window_s(args, args.samples)
-    _poll_dump(args.controller, "/ping/dump", icmp_id,
-               lambda e: len(e["probes"]) == args.samples
-               and all(p[1] is not None for p in e["probes"]),
-               deadline)
+    _run_ping(args, body, lambda icmp_id: "calibration task %d: %d probes, "
+              "gap %d us" % (icmp_id, args.samples, args.gap_us))
     events = netsim.load_event_log(args.event_log)
     pktout, pktin, reorderings = netsim.pair_event_log(events)
     if not pktout:

@@ -1,5 +1,15 @@
 """Measurement core: probe tasks, reply correlation and RTT correction.
 
+Ping and traceroute are one task model, ProbeTask: num Echo Requests,
+seq 0..num-1, where seq leaves with TTL first_ttl + seq // probes_per_ttl.
+A ping is one TTL level at the default TTL; a traceroute is MAX_TTL levels
+from TTL 1 and stops emitting once the destination answers.  Both kinds
+share one start, one emission path and one done rule: a task is done when
+its destination answered (traceroutes only) or when emission has finished
+and every record that was sent is answered or expired.  Probes skipped
+because the session went away leave no record, so a task whose switch
+disconnected still ends done.
+
 A probe's controller-to-target round trip includes the control channel and
 the switch's processing on both legs.  The engine keeps a smoothed estimate
 of the controller-to-switch round trip, refreshed with an OpenFlow echo at
@@ -38,15 +48,12 @@ only recycled by an explicit clear; exhausting the space fails new tasks
 with StateFull until then.
 """
 
-import logging
 from dataclasses import dataclass, field
 
 from . import frames, wire
 from .eventloop import Future
 from .frames import ReplyKind
 from .session import ACTIVE, SessionClosed
-
-log = logging.getLogger(__name__)
 
 MAX_TTL = 30
 ID_SPACE = 65536
@@ -145,55 +152,34 @@ class ProbeRecord:
 
 
 @dataclass(slots=True)
-class PingTask:
+class ProbeTask:
+    """A ping or a traceroute: num probes, seq leaving with ttl(seq)."""
     icmp_id: int
     target: str
-    num: int
-    payload: bytes
-    out_port: int
-    gap_us: int
-    rtt_cs_us: float = None   # mean of the task's control-channel samples
-    rtt_cs_sum: float = 0.0
-    rtt_cs_count: int = 0
-    records: dict = field(default_factory=dict)
-    oldest_open: int = 0      # no record below this seq is still open
-    deadline: object = None   # expiry timer of the oldest open record
-    cleared: bool = False
-
-    @property
-    def done(self):
-        return (len(self.records) == self.num
-                and all(r.resolved for r in self.records.values()))
-
-
-@dataclass(slots=True)
-class TracerouteTask:
-    icmp_id: int
-    target: str
+    num: int                  # probes the task emits
+    first_ttl: int
     probes_per_ttl: int
     out_port: int
     gap_us: int
+    payload: bytes = b""
     rtt_cs_us: float = None   # mean of the task's control-channel samples
     rtt_cs_sum: float = 0.0
     rtt_cs_count: int = 0
     records: dict = field(default_factory=dict)
     oldest_open: int = 0      # no record below this seq is still open
     deadline: object = None   # expiry timer of the oldest open record
-    dest_ttl: int = None
+    dest_ttl: int = None      # lowest TTL the destination answered from
     emitted_all: bool = False
     cleared: bool = False
 
-    @property
-    def terminated(self):
-        if self.dest_ttl is not None:
-            return TERMINATED_DESTINATION
-        if self.emitted_all and all(r.resolved for r in self.records.values()):
-            return TERMINATED_MAX_TTL
-        return TERMINATED_IN_PROGRESS
+    def ttl(self, seq):
+        return self.first_ttl + seq // self.probes_per_ttl
 
     @property
     def done(self):
-        return self.terminated != TERMINATED_IN_PROGRESS
+        return self.dest_ttl is not None or (
+            self.emitted_all
+            and all(r.resolved for r in self.records.values()))
 
 
 @dataclass
@@ -281,51 +267,42 @@ class MeasurementEngine:
 
     def start_ping(self, target, num, payload=b"", out_port=None,
                    gap_us=None) -> int:
-        """Allocate an id and begin a ping task.  Probes flow only after a
-        fresh control-channel RTT sample.  A bad target raises
-        wire.UnencodableMessage before any id is taken."""
         if not 1 <= num <= self.settings.max_probes_per_task:
             raise ValueError("num must be in 1..%d"
                              % self.settings.max_probes_per_task)
         frames.check_echo_payload(payload)
-        wire.ip_to_bytes(target)
-        session = self._require_session()
-        icmp_id = self.allocator.allocate()
-        task = PingTask(icmp_id=icmp_id, target=target, num=num,
-                        payload=bytes(payload),
-                        out_port=self.settings.out_port if out_port is None
-                        else out_port,
-                        gap_us=self.settings.probe_gap_us if gap_us is None
-                        else gap_us)
-        self.pings[icmp_id] = task
-        self._begin_task(session, task, self._emit_ping_probes)
-        return icmp_id
+        return self._start(self.pings, target, num, self.settings.default_ttl,
+                           num, out_port, gap_us, bytes(payload))
 
     def start_traceroute(self, target, probes_per_ttl=1, out_port=None,
                          gap_us=None) -> int:
         if probes_per_ttl < 1 or MAX_TTL * probes_per_ttl > ID_SPACE:
             raise ValueError("probes_per_ttl must be in 1..%d"
                              % (ID_SPACE // MAX_TTL))
+        return self._start(self.traceroutes, target, MAX_TTL * probes_per_ttl,
+                           1, probes_per_ttl, out_port, gap_us)
+
+    def _start(self, table, target, num, first_ttl, probes_per_ttl, out_port,
+               gap_us, payload=b""):
+        """Allocate an id and begin a task.  Probes flow only after a
+        fresh control-channel RTT sample.  A bad target raises
+        wire.UnencodableMessage before any id is taken."""
         wire.ip_to_bytes(target)
         session = self._require_session()
-        icmp_id = self.allocator.allocate()
-        task = TracerouteTask(icmp_id=icmp_id, target=target,
-                              probes_per_ttl=probes_per_ttl,
-                              out_port=self.settings.out_port if out_port is None
-                              else out_port,
-                              gap_us=self.settings.probe_gap_us if gap_us is None
-                              else gap_us)
-        self.traceroutes[icmp_id] = task
-        self._begin_task(session, task, self._emit_traceroute_probes)
-        return icmp_id
-
-    def _begin_task(self, session, task, emit):
+        task = ProbeTask(
+            icmp_id=self.allocator.allocate(), target=target, num=num,
+            first_ttl=first_ttl, probes_per_ttl=probes_per_ttl,
+            out_port=self.settings.out_port if out_port is None else out_port,
+            gap_us=self.settings.probe_gap_us if gap_us is None else gap_us,
+            payload=payload)
+        table[task.icmp_id] = task
         if task.out_port not in self._primed_ports:
             self._prime_port(session, task.out_port)
         fut = session.sample_switch_rtt()
-        fut.add_done_callback(lambda f: self._after_echo(f, task, emit))
+        fut.add_done_callback(lambda f: self._after_echo(f, task))
+        return task.icmp_id
 
-    def _after_echo(self, fut, task, emit):
+    def _after_echo(self, fut, task):
         if task.cleared:
             return
         exc = fut.exception()
@@ -336,7 +313,7 @@ class MeasurementEngine:
             # stalling the task behind a lost echo.
             self._count_echo_failure(exc)
         self._add_rtt_cs(task, self.estimator.current or 0.0)
-        emit(task)
+        self._emit(task)
 
     def _after_emission_echo(self, fut, task):
         """Keep an echo sent alongside a spaced emission as the task's own
@@ -366,70 +343,42 @@ class MeasurementEngine:
 
     # -- probe emission --------------------------------------------------------
 
-    def _echo_template(self, task, payload=b""):
-        return frames.echo_request_template(
+    def _emit(self, task):
+        template = frames.echo_request_template(
             self.settings.src_ip, task.target, self.settings.src_mac,
-            self.settings.next_hop_mac, task.icmp_id, payload)
-
-    def _emit_ping_probes(self, task):
-        template = self._echo_template(task, task.payload)
+            self.settings.next_hop_mac, task.icmp_id, task.payload)
         for seq in range(task.num):
             if task.gap_us:
                 self.loop.call_later(seq * task.gap_us,
-                                     self._send_ping_probe, task, template, seq)
+                                     self._send_probe, task, template, seq)
             else:
-                self._send_ping_probe(task, template, seq)
+                self._send_probe(task, template, seq)
 
-    def _send_ping_probe(self, task, template, seq):
-        if task.cleared or not self.session_active():
-            return
-        self._send_record(task, template, seq, self.settings.default_ttl)
-
-    def _emit_traceroute_probes(self, task):
-        template = self._echo_template(task)
-        if task.gap_us:
-            slot = 0
-            for ttl in range(1, MAX_TTL + 1):
-                for idx in range(task.probes_per_ttl):
-                    self.loop.call_later(slot * task.gap_us,
-                                         self._send_trace_probe, task,
-                                         template, ttl, idx)
-                    slot += 1
-            # The flag must trail the last scheduled emission or a dump
-            # taken mid-task would read as terminated.
-            self.loop.call_later((slot - 1) * task.gap_us,
-                                 setattr, task, "emitted_all", True)
-        else:
-            for ttl in range(1, MAX_TTL + 1):
-                if task.dest_ttl is not None:
-                    break
-                for idx in range(task.probes_per_ttl):
-                    self._send_trace_probe(task, template, ttl, idx)
+    def _send_probe(self, task, template, seq):
+        """Emit probe seq unless the task was cleared, its destination has
+        answered or the session is gone.  The last seq marks emission
+        finished once its record exists, so a dump taken mid-task never
+        reads as done."""
+        if not task.cleared and task.dest_ttl is None \
+                and self.session_active():
+            ttl = task.ttl(seq)
+            frame = frames.stamp_echo_request(template, seq, ttl)
+            t_out = self._session.send_probe(task.out_port, frame)
+            if task.gap_us and task.records:
+                # Written after the PacketOut so it never delays the probe's
+                # emission; on the virtual transport the two share a segment.
+                fut = self._session.sample_switch_rtt()
+                fut.add_done_callback(
+                    lambda f: self._after_emission_echo(f, task))
+            task.records[seq] = ProbeRecord(icmp_seq=seq, ttl=ttl, t_out=t_out)
+            if task.deadline is None:
+                # nothing else is open, so this record is the oldest open one
+                task.oldest_open = seq
+                task.deadline = self.loop.call_at(
+                    t_out + self.settings.probe_timeout_us,
+                    self._expire_records, task)
+        if seq == task.num - 1:
             task.emitted_all = True
-
-    def _send_trace_probe(self, task, template, ttl, idx):
-        if task.cleared or task.dest_ttl is not None \
-                or not self.session_active():
-            return
-        self._send_record(task, template,
-                          (ttl - 1) * task.probes_per_ttl + idx, ttl)
-
-    def _send_record(self, task, template, seq, ttl):
-        frame = frames.stamp_echo_request(template, seq, ttl)
-        t_out = self._session.send_probe(task.out_port, frame)
-        if task.gap_us and task.records:
-            # Written after the PacketOut so it never delays the probe's
-            # emission; on the virtual transport the two share a segment.
-            fut = self._session.sample_switch_rtt()
-            fut.add_done_callback(
-                lambda f: self._after_emission_echo(f, task))
-        task.records[seq] = ProbeRecord(icmp_seq=seq, ttl=ttl, t_out=t_out)
-        if task.deadline is None:
-            # nothing else is open, so this record is the oldest open one
-            task.oldest_open = seq
-            task.deadline = self.loop.call_at(
-                t_out + self.settings.probe_timeout_us,
-                self._expire_records, task)
 
     def _oldest_open(self, task):
         """Move the task's cursor past resolved seqs, and past seqs never
@@ -483,7 +432,8 @@ class MeasurementEngine:
             return
         task = self.traceroutes.get(reply.icmp_id)
         if task is not None:
-            ttl = reply.icmp_seq // task.probes_per_ttl + 1
+            # only a traceroute stops at the destination
+            ttl = task.ttl(reply.icmp_seq)
             if self._fill_record(task, reply, t_in):
                 if task.dest_ttl is None or ttl < task.dest_ttl:
                     task.dest_ttl = ttl
@@ -591,8 +541,10 @@ class MeasurementEngine:
     def dump_traceroute(self):
         out = {}
         for icmp_id, task in self.traceroutes.items():
-            state = task.terminated
-            last_ttl = task.dest_ttl if state == TERMINATED_DESTINATION else MAX_TTL
+            state = (TERMINATED_DESTINATION if task.dest_ttl is not None
+                     else TERMINATED_MAX_TTL if task.done
+                     else TERMINATED_IN_PROGRESS)
+            last_ttl = task.dest_ttl or MAX_TTL
             hops = {}
             for ttl in range(1, last_ttl + 1):
                 row = []
@@ -615,15 +567,19 @@ class MeasurementEngine:
         return out
 
     def clear_ping(self):
-        self._clear_tasks(self.pings)
+        return self._clear_tasks(self.pings)
 
     def clear_traceroute(self):
-        self._clear_tasks(self.traceroutes)
+        return self._clear_tasks(self.traceroutes)
 
     def _clear_tasks(self, table):
+        """Drop every task in the table and free its id; returns how many
+        were dropped."""
+        cleared = len(table)
         for icmp_id, task in table.items():
             task.cleared = True
             if task.deadline is not None:
                 task.deadline.cancel()
             self.allocator.release(icmp_id)
         table.clear()
+        return cleared

@@ -426,7 +426,9 @@ class SimSwitch:
         return self._xid
 
     def _send(self, msg):
-        self._conn.send(wire.encode_message(msg))
+        # a reply still in the dataplane when the switch hangs up is lost
+        if not self._conn.closed:
+            self._conn.send(wire.encode_message(msg))
 
     def _log(self, kind, t_us):
         idx = self._event_index

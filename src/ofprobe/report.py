@@ -115,9 +115,6 @@ class ErrorReport:
     def abs_error_cdf(self):
         return cdf_points(self.abs_errors())
 
-    def rel_error_cdf(self):
-        return cdf_points(self.rel_errors())
-
     # -- CSV round trip --------------------------------------------------
 
     FIELDS = ("target", "truth_us", "est_us", "est_mean_us",

@@ -78,6 +78,9 @@ class SwitchSession:
     def _on_bytes(self, data):
         if self.state == CLOSED:
             return
+        if not data:
+            self.close(SessionClosed("switch closed the connection"))
+            return
         try:
             messages = self._framer.feed(data)
         except wire.BadVersion as exc:

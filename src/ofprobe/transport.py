@@ -1,7 +1,8 @@
 """Byte transports the control channel runs over.
 
 Two implementations share one shape: send(data), close(), and a receiver
-callback installed with set_receiver().  The virtual pair moves bytes
+callback installed with set_receiver().  The peer hanging up reaches the
+receiver as one empty segment, b"".  The virtual pair moves bytes
 through the event loop with a sampled one-way delay and FIFO arrival, so a
 later segment can never overtake an earlier one.  The TCP flavor services
 nonblocking sockets from the loop's selector.
@@ -61,8 +62,14 @@ class _VirtualEndpoint:
             self._receiver(segment)
 
     def close(self):
+        """Drop unsent bytes and hang up: the peer's receiver gets b"" after
+        every segment already in flight."""
+        if self.closed:
+            return
         self.closed = True
         self._pending = None
+        self._last_arrival = max(self._last_arrival, self._loop.now_us())
+        self._loop.call_at(self._last_arrival, self._peer._deliver, b"")
 
 
 def virtual_pair(loop, a_to_b_delay_fn, b_to_a_delay_fn=None):
@@ -92,14 +99,10 @@ class TcpConnection:
         self._receiver = None
         self._backlog = bytearray()
         self.closed = False
-        self._on_close = None
         loop.add_reader(sock.fileno(), self._on_readable)
 
     def set_receiver(self, fn):
         self._receiver = fn
-
-    def set_close_handler(self, fn):
-        self._on_close = fn
 
     def send(self, data):
         if self.closed:
@@ -112,7 +115,8 @@ class TcpConnection:
         except BlockingIOError:
             sent = 0
         except OSError:
-            self.close()
+            # tell the receiver from the loop, not from inside a write
+            self._loop.call_soon(self._lost)
             return
         if sent < len(data):
             self._backlog += data[sent:]
@@ -124,7 +128,7 @@ class TcpConnection:
         except BlockingIOError:
             return
         except OSError:
-            self.close()
+            self._lost()
             return
         del self._backlog[:sent]
         if not self._backlog:
@@ -138,10 +142,17 @@ class TcpConnection:
         except OSError:
             data = b""
         if not data:
-            self.close()
-            return
-        if self._receiver is not None:
+            self._lost()
+        elif self._receiver is not None:
             self._receiver(data)
+
+    def _lost(self):
+        """End of stream or a socket error: close, then hand the receiver
+        the empty segment that says the peer is gone."""
+        if not self.closed:
+            self.close()
+            if self._receiver is not None:
+                self._receiver(b"")
 
     def close(self):
         if self.closed:
@@ -155,8 +166,6 @@ class TcpConnection:
             self._sock.close()
         except OSError:
             pass
-        if self._on_close is not None:
-            self._on_close()
 
 
 class TcpListener:

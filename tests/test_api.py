@@ -246,6 +246,44 @@ def test_no_session_is_503_with_code():
     assert payload["code"] == "no_session"
 
 
+def test_switch_disconnect_ends_the_task_and_refuses_new_ones():
+    stack, app = make_app()
+    body = json.dumps({"tgt": "192.0.2.1", "num": 5,
+                       "gap_us": 200_000}).encode()
+    icmp_id = app.dispatch("PUT", "/ping", body)[1]["icmp_id"]
+    stack.loop.run_for(220_000)  # probe 1 is out, its reply still coming
+    task = stack.engine.pings[icmp_id]
+    assert sorted(task.records) == [0, 1]
+    stack.switch.close()
+    stack.loop.run_until_idle()
+    assert not stack.engine.session_active()
+    assert task.done
+    assert sorted(task.records) == [0, 1]  # nothing sent after the hang-up
+    assert task.records[0].t_in is not None and task.records[1].expired
+    app.bucket.try_take(0)  # bring the refill up to now
+    tokens = app.bucket._tokens
+    status, payload = app.dispatch("PUT", "/ping", body)
+    assert (status, payload["code"]) == (503, "no_session")
+    assert app.bucket._tokens == tokens
+    assert stack.engine.allocator.in_use == 1
+
+
+@pytest.mark.parametrize("path, body, error", [
+    ("/ping", {"tgt": "x", "num": 0, "out_port": -1}, "tgt must be"),
+    ("/ping", {"tgt": "192.0.2.1", "num": 0, "out_port": -1}, "num must be"),
+    ("/ping", {"tgt": "192.0.2.1", "payload": 7, "gap_us": -1},
+     "payload must be"),
+    ("/ping", {"tgt": "192.0.2.1", "out_port": -1, "gap_us": -1},
+     "out_port must be"),
+    ("/traceroute", {"tgt": "192.0.2.1", "probes_per_ttl": 0, "gap_us": -1},
+     "probes_per_ttl must be"),
+])
+def test_first_bad_field_is_the_one_reported(path, body, error):
+    _stack, app = make_app(PolicyConfig(allowed_tasks=frozenset()))
+    status, payload = app.dispatch("PUT", path, json.dumps(body).encode())
+    assert status == 400 and payload["error"].startswith(error)
+
+
 @pytest.mark.parametrize("path, body", [
     ("/ping", PING_BODY),
     ("/traceroute", json.dumps({"tgt": "192.0.2.1"}).encode()),

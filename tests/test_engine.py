@@ -528,6 +528,22 @@ def test_session_closed_before_the_start_echo_is_not_a_timeout():
     assert stack.engine.dump_ping()[str(icmp_id)]["probes"] == []
 
 
+def test_tasks_of_a_session_closed_before_the_start_echo_end_done():
+    topo = trace_topo()
+    topo.targets["192.0.2.1"] = netsim.TargetSpec(base_rtt_us=20_000)
+    stack = VirtualStack(topo)
+    ping_id = stack.engine.start_ping("192.0.2.1", 3)
+    trace_id = stack.engine.start_traceroute("192.0.2.9")
+    stack.session.close()
+    stack.loop.run_until_idle()
+    assert stack.engine.pings[ping_id].done
+    assert stack.engine.pings[ping_id].records == {}
+    entry = stack.engine.dump_traceroute()[str(trace_id)]
+    assert entry["terminated"] == "max_ttl"
+    assert stack.engine.counters["session_lost"] == 2
+    assert stack.engine.counters["echo_timeouts"] == 0
+
+
 def test_newer_session_replaces_older():
     loop = EventLoop()
     engine = MeasurementEngine(loop, ProbeSettings())

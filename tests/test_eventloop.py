@@ -1,5 +1,6 @@
 """Scheduler semantics on the virtual clock, plus the realtime driver."""
 
+import socket
 import threading
 import time
 
@@ -181,6 +182,20 @@ def test_fifo_arrival_never_reorders():
     assert got == [(5000, b"slow"), (5000, b"fast")]
 
 
+def test_close_reaches_the_peer_after_segments_in_flight():
+    loop = EventLoop()
+    a, b = transport.virtual_pair(loop, lambda: 5000)
+    got = []
+    b.set_receiver(lambda data: got.append((loop.now_us(), bytes(data))))
+    a.send(b"first")
+    loop.run_for(1000)  # in flight until 5000
+    a.send(b"unsent")
+    a.close()
+    a.close()
+    loop.run_until_idle()
+    assert got == [(5000, b"first"), (5000, b"")]
+
+
 def test_closed_endpoint_rejects_and_stays_silent():
     loop = EventLoop()
     a, b = transport.virtual_pair(loop, lambda: 10)
@@ -213,10 +228,10 @@ def test_realtime_loop_runs_timers_and_threadsafe_calls():
 def test_realtime_tcp_round_trip():
     loop = EventLoop(realtime=True)
     got = Future()
-    server_conn = []
+    conns = []
 
     def on_accept(conn, addr):
-        server_conn.append(conn)
+        conns.append(conn)
         conn.set_receiver(lambda data: conn.send(data.upper()))
 
     listener = transport.TcpListener(loop, "127.0.0.1", 0, on_accept)
@@ -225,6 +240,7 @@ def test_realtime_tcp_round_trip():
 
     def client():
         conn = transport.connect_tcp(loop, "127.0.0.1", listener.port)
+        conns.append(conn)
         conn.set_receiver(lambda data: got.set_result(bytes(data)))
         conn.send(b"abc")
 
@@ -232,7 +248,68 @@ def test_realtime_tcp_round_trip():
     assert got.result(timeout=5) == b"ABC"
     loop.stop()
     runner.join(timeout=5)
+    for conn in conns:
+        conn.close()
     listener.close()
+    loop.close()
+
+
+def test_tcp_end_of_stream_reaches_the_receiver_once():
+    loop = EventLoop(realtime=True)
+    got = []
+    hung_up = Future()
+    conns = []
+
+    def on_accept(conn, addr):
+        conns.append(conn)
+
+        def receive(data):
+            got.append(bytes(data))
+            if not data:
+                hung_up.set_result(conn.closed)
+
+        conn.set_receiver(receive)
+
+    listener = transport.TcpListener(loop, "127.0.0.1", 0, on_accept)
+    runner = threading.Thread(target=loop.run_forever, daemon=True)
+    runner.start()
+    with socket.create_connection(("127.0.0.1", listener.port)) as peer:
+        peer.sendall(b"abc")
+    assert hung_up.result(timeout=5) is True  # closed before it is told
+    loop.stop()
+    runner.join(timeout=5)
+    assert got == [b"abc", b""]
+    listener.close()
+    loop.close()
+
+
+class _FailingSend:
+    """A connected socket whose writes fail as after a reset."""
+
+    def __init__(self, sock):
+        self._sock = sock
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+    def send(self, data):
+        raise ConnectionResetError("reset by peer")
+
+
+def test_failed_write_reaches_the_receiver_from_the_loop():
+    loop = EventLoop(realtime=True)
+    with socket.create_server(("127.0.0.1", 0)) as server, \
+            socket.create_connection(server.getsockname()) as sock, \
+            server.accept()[0]:
+        conn = transport.TcpConnection(loop, _FailingSend(sock))
+        got = []
+        conn.set_receiver(got.append)
+        conn.send(b"x")
+        conn.send(b"y")
+        assert got == [] and not conn.closed  # never inside the writer's call
+        loop.call_soon(loop.stop)
+        loop.run_forever()
+        assert got == [b""] and conn.closed
     loop.close()
 
 

@@ -1,9 +1,17 @@
-"""Switch-session state machine driven over a scripted virtual peer."""
+"""Switch-session state machine driven over a scripted virtual peer, plus
+a switch hanging up on a live controller over TCP."""
+
+import json
+import threading
+import time
 
 import pytest
 
-from ofprobe import transport, wire
-from ofprobe.eventloop import EventLoop
+from ofprobe import netsim, transport, wire
+from ofprobe.config import ControllerConfig
+from ofprobe.controller import Controller
+from ofprobe.engine import ProbeSettings
+from ofprobe.eventloop import EventLoop, Future
 from ofprobe.session import (
     ACTIVE,
     CLOSED,
@@ -213,6 +221,21 @@ def test_operations_refused_before_active_and_after_close():
         session.send_probe(1, b"")
 
 
+def test_peer_hang_up_closes_the_session():
+    loop = EventLoop()
+    session, peer = make_session(loop)
+    complete_handshake(loop, session, peer)
+    calls = []
+    session.close_handler = lambda s, exc: calls.append(exc)
+    fut = session.sample_switch_rtt()
+    peer._end.close()
+    loop.run_until_idle()
+    assert session.state == CLOSED
+    assert [type(exc) for exc in calls] == [SessionClosed]
+    with pytest.raises(SessionClosed):
+        fut.result(0)
+
+
 def test_close_handler_fires_once():
     loop = EventLoop()
     session, peer = make_session(loop)
@@ -221,3 +244,67 @@ def test_close_handler_fires_once():
     session.close()
     session.close()
     assert len(calls) == 1
+
+
+# -- realtime ------------------------------------------------------------------
+
+
+def on_loop(loop, fn):
+    fut = Future()
+    loop.call_threadsafe(lambda: fut.set_result(fn()))
+    return fut.result(timeout=5)
+
+
+def wait_for(loop, predicate):
+    deadline = time.monotonic() + 10
+    while not on_loop(loop, predicate):
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.02)
+
+
+def test_switch_hang_up_over_tcp_keeps_the_controller_loop():
+    topo = netsim.parse_topology(
+        "simtopo v1\ndpid 0x1\nports 1\nseed 5\n"
+        "target 192.0.2.1 rtt 20ms\n")
+    ctrl_loop = EventLoop(realtime=True)
+    ctrl = Controller(ctrl_loop, ControllerConfig(
+        openflow_host="127.0.0.1", openflow_port=0, api_host="127.0.0.1",
+        api_port=0, probe=ProbeSettings(probe_timeout_us=300_000)))
+    ctrl.start()
+    ctrl_thread = threading.Thread(target=ctrl_loop.run_forever, daemon=True)
+    ctrl_thread.start()
+    sw_loop = EventLoop(realtime=True)
+    switch = netsim.run_sim_switch(
+        sw_loop, topo, controller="127.0.0.1:%d" % ctrl.openflow_port)
+    sw_thread = threading.Thread(target=sw_loop.run_forever, daemon=True)
+    sw_thread.start()
+    engine = ctrl.engine
+    try:
+        wait_for(ctrl_loop, engine.session_active)
+        session = engine.session
+        body = json.dumps({"tgt": "192.0.2.1", "num": 5,
+                           "gap_us": 200_000}).encode()
+        status, payload = on_loop(
+            ctrl_loop, lambda: ctrl.app.dispatch("PUT", "/ping", body))
+        assert status == 200
+        task = engine.pings[payload["icmp_id"]]
+        wait_for(ctrl_loop, lambda: len(task.records) >= 1)
+        sw_loop.call_threadsafe(switch.close)
+        wait_for(ctrl_loop, lambda: not engine.session_active())
+        assert session.state == CLOSED
+        wait_for(ctrl_loop, lambda: task.done)  # later emissions skipped
+        assert len(task.records) < 5
+        status, payload = on_loop(
+            ctrl_loop, lambda: ctrl.app.dispatch("PUT", "/ping", body))
+        assert (status, payload["code"]) == (503, "no_session")
+        assert on_loop(ctrl_loop, lambda: engine.allocator.in_use) == 1
+        assert ctrl_thread.is_alive()
+    finally:
+        ctrl_loop.call_threadsafe(ctrl.shutdown)
+        ctrl_loop.call_threadsafe(ctrl_loop.stop)
+        sw_loop.call_threadsafe(switch.close)
+        sw_loop.call_threadsafe(sw_loop.stop)
+        ctrl_thread.join(timeout=5)
+        sw_thread.join(timeout=5)
+        ctrl_loop.close()
+        sw_loop.close()
