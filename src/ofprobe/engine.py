@@ -271,8 +271,9 @@ class MeasurementEngine:
             raise ValueError("num must be in 1..%d"
                              % self.settings.max_probes_per_task)
         frames.check_echo_payload(payload)
-        return self._start(self.pings, target, num, self.settings.default_ttl,
-                           num, out_port, gap_us, bytes(payload))
+        return self._start(self.pings, target, num, out_port, gap_us,
+                           first_ttl=self.settings.default_ttl,
+                           probes_per_ttl=num, payload=bytes(payload))
 
     def start_traceroute(self, target, probes_per_ttl=1, out_port=None,
                          gap_us=None) -> int:
@@ -280,10 +281,11 @@ class MeasurementEngine:
             raise ValueError("probes_per_ttl must be in 1..%d"
                              % (ID_SPACE // MAX_TTL))
         return self._start(self.traceroutes, target, MAX_TTL * probes_per_ttl,
-                           1, probes_per_ttl, out_port, gap_us)
+                           out_port, gap_us, first_ttl=1,
+                           probes_per_ttl=probes_per_ttl)
 
-    def _start(self, table, target, num, first_ttl, probes_per_ttl, out_port,
-               gap_us, payload=b""):
+    def _start(self, table, target, num, out_port, gap_us, first_ttl,
+               probes_per_ttl, payload=b""):
         """Allocate an id and begin a task.  Probes flow only after a
         fresh control-channel RTT sample.  A bad target raises
         wire.UnencodableMessage before any id is taken."""

@@ -68,8 +68,8 @@ class _VirtualEndpoint:
             return
         self.closed = True
         self._pending = None
-        self._last_arrival = max(self._last_arrival, self._loop.now_us())
-        self._loop.call_at(self._last_arrival, self._peer._deliver, b"")
+        self._loop.call_at(max(self._last_arrival, self._loop.now_us()),
+                           self._peer._deliver, b"")
 
 
 def virtual_pair(loop, a_to_b_delay_fn, b_to_a_delay_fn=None):
