@@ -18,7 +18,6 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .engine import MAX_TTL, NoActiveSession, StateFull
-from .eventloop import Future
 from .frames import MAX_ECHO_PAYLOAD, RouterIdentity
 
 log = logging.getLogger(__name__)
@@ -277,14 +276,19 @@ class ApiHttpServer:
         self._thread = None
 
     def _run_dispatch(self, method, path, body, headers):
+        """Dispatch on the loop thread; the one wait across threads."""
         if self.loop is not None and self.loop.realtime:
-            fut = Future()
+            answered = threading.Event()
+            answer = []
 
             def call():
-                fut.set_result(self.app.dispatch(method, path, body, headers))
+                answer.append(self.app.dispatch(method, path, body, headers))
+                answered.set()
 
             self.loop.call_threadsafe(call)
-            return fut.result(timeout=30)
+            if not answered.wait(30):
+                raise TimeoutError("dispatch not answered in time")
+            return answer[0]
         return self.app.dispatch(method, path, body, headers)
 
     def start(self):

@@ -30,13 +30,16 @@ echo taken at start.  Samples stop counting once the task is done, so a
 finished task's rtt_cs no longer moves.  The switch's own PacketOut and
 PacketIn processing is not part of any echo and stays in the estimate.
 
-Each task has at most one expiry timer.  Probes leave in increasing seq
-order, so the task keeps a cursor at its oldest record that may still be
-open and one deadline at that record's t_out + probe_timeout_us.  When the
-deadline fires it expires every open record whose timeout has passed and
-re-arms for the next open one; when the last open record is answered the
-deadline is cancelled, so a drained loop's clock stops at the last reply.
-A record still expires exactly probe_timeout_us after its own t_out.
+The engine has one expiry timer.  All records share one timeout and t_out
+never goes back, so records expire in send order: sent records wait in one
+FIFO, with one deadline at the head's t_out + probe_timeout_us.  When it
+fires it drops answered records and those of cleared tasks from the head,
+expires the open ones past their timeout and re-arms for the oldest one
+left, so a record expires exactly probe_timeout_us after its own t_out.
+Each task and the engine count their open records; at zero the deadline is
+cancelled and the FIFO emptied, so a drained loop's clock stops at the last
+reply.  Records never point back at their task, so a clear frees its tasks
+by reference counting alone.
 
 A task's Echo Request template (Ethernet header, addresses, payload and
 partial checksums) is built once when its probes start and handed along
@@ -48,6 +51,7 @@ only recycled by an explicit clear; exhausting the space fails new tasks
 with StateFull until then.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import frames, wire
@@ -146,10 +150,6 @@ class ProbeRecord:
     responder: str = None
     expired: bool = False
 
-    @property
-    def resolved(self):
-        return self.t_in is not None or self.expired
-
 
 @dataclass(slots=True)
 class ProbeTask:
@@ -166,8 +166,7 @@ class ProbeTask:
     rtt_cs_sum: float = 0.0
     rtt_cs_count: int = 0
     records: dict = field(default_factory=dict)
-    oldest_open: int = 0      # no record below this seq is still open
-    deadline: object = None   # expiry timer of the oldest open record
+    open: int = 0             # records sent and not yet answered or expired
     dest_ttl: int = None      # lowest TTL the destination answered from
     emitted_all: bool = False
     cleared: bool = False
@@ -178,8 +177,7 @@ class ProbeTask:
     @property
     def done(self):
         return self.dest_ttl is not None or (
-            self.emitted_all
-            and all(r.resolved for r in self.records.values()))
+            self.emitted_all and not self.open)
 
 
 @dataclass
@@ -221,6 +219,12 @@ class MeasurementEngine:
         self._session = None
         self._pending_rid_queries = {}
         self._primed_ports = set()
+        self._src_ip = wire.ip_to_bytes(self.settings.src_ip)
+        self._src_mac = frames.mac_to_bytes(self.settings.src_mac)
+        self._next_hop_mac = frames.mac_to_bytes(self.settings.next_hop_mac)
+        self._sent = deque()      # (task, record) in t_out order
+        self._open = 0            # open records over every task
+        self._deadline = None     # expiry timer of the FIFO's head
 
     # -- session wiring -----------------------------------------------------
 
@@ -347,8 +351,8 @@ class MeasurementEngine:
 
     def _emit(self, task):
         template = frames.echo_request_template(
-            self.settings.src_ip, task.target, self.settings.src_mac,
-            self.settings.next_hop_mac, task.icmp_id, task.payload)
+            self._src_ip, wire.ip_to_bytes(task.target), self._src_mac,
+            self._next_hop_mac, task.icmp_id, task.payload)
         for seq in range(task.num):
             if task.gap_us:
                 self.loop.call_later(seq * task.gap_us,
@@ -372,43 +376,43 @@ class MeasurementEngine:
                 fut = self._session.sample_switch_rtt()
                 fut.add_done_callback(
                     lambda f: self._after_emission_echo(f, task))
-            task.records[seq] = ProbeRecord(icmp_seq=seq, ttl=ttl, t_out=t_out)
-            if task.deadline is None:
-                # nothing else is open, so this record is the oldest open one
-                task.oldest_open = seq
-                task.deadline = self.loop.call_at(
+            record = ProbeRecord(icmp_seq=seq, ttl=ttl, t_out=t_out)
+            task.records[seq] = record
+            task.open += 1
+            self._open += 1
+            self._sent.append((task, record))
+            if self._deadline is None:
+                # the FIFO was empty, so this record is its head
+                self._deadline = self.loop.call_at(
                     t_out + self.settings.probe_timeout_us,
-                    self._expire_records, task)
+                    self._expire_records)
         if seq == task.num - 1:
             task.emitted_all = True
 
-    def _oldest_open(self, task):
-        """Move the task's cursor past resolved seqs, and past seqs never
-        sent because the session was down; returns the record it stops
-        at, or None when no record is open."""
-        records = task.records
-        last = next(reversed(records))
-        seq = task.oldest_open
-        while seq <= last:
-            record = records.get(seq)
-            if record is not None and not record.resolved:
-                task.oldest_open = seq
-                return record
-            seq += 1
-        task.oldest_open = seq
-        return None
-
-    def _expire_records(self, task):
-        """The task's deadline: expire each open record whose timeout has
-        passed, then re-arm for the oldest record still open."""
+    def _expire_records(self):
+        """The deadline: pop resolved records and those of cleared tasks,
+        expire those past their timeout, re-arm for the oldest one left."""
         timeout = self.settings.probe_timeout_us
         cutoff = self.loop.now_us() - timeout
-        record = self._oldest_open(task)
-        while record is not None and record.t_out <= cutoff:
-            record.expired = True
-            record = self._oldest_open(task)
-        task.deadline = None if record is None else self.loop.call_at(
-            record.t_out + timeout, self._expire_records, task)
+        sent = self._sent
+        while sent:
+            task, record = sent[0]
+            if not task.cleared and record.t_in is None:
+                if record.t_out > cutoff:
+                    break
+                record.expired = True
+                task.open -= 1
+                self._open -= 1
+            sent.popleft()
+        self._deadline = self.loop.call_at(
+            sent[0][1].t_out + timeout, self._expire_records) if sent else None
+
+    def _stop_expiry(self):
+        """No record is open: cancel the deadline and let go of the FIFO."""
+        if self._deadline is not None:
+            self._deadline.cancel()
+            self._deadline = None
+        self._sent.clear()
 
     # -- reply handling -----------------------------------------------------------
 
@@ -464,10 +468,10 @@ class MeasurementEngine:
             return False
         record.t_in = t_in
         record.responder = reply.responder_ip
-        if reply.icmp_seq == task.oldest_open \
-                and self._oldest_open(task) is None:
-            task.deadline.cancel()
-            task.deadline = None
+        task.open -= 1
+        self._open -= 1
+        if not self._open:
+            self._stop_expiry()
         return True
 
     def _route_router_id_reply(self, reply):
@@ -487,9 +491,10 @@ class MeasurementEngine:
     def _handle_other(self, frame, in_port):
         if self.router_id_serve and self.router_identity is not None \
                 and self.session_active():
-            query = frames.parse_router_id_query(frame)
-            if query is not None:
-                reply = frames.build_router_id_reply(frame, self.router_identity)
+            view = frames.parse_router_id_query(frame)
+            if view is not None:
+                reply = frames.build_router_id_reply(
+                    frame, self.router_identity, view)
                 self._session.send_probe(in_port, reply)
                 self.counters["router_id_served"] += 1
                 return
@@ -580,8 +585,9 @@ class MeasurementEngine:
         cleared = len(table)
         for icmp_id, task in table.items():
             task.cleared = True
-            if task.deadline is not None:
-                task.deadline.cancel()
+            self._open -= task.open
             self.allocator.release(icmp_id)
         table.clear()
+        if not self._open:
+            self._stop_expiry()
         return cleared

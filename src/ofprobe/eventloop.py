@@ -11,7 +11,6 @@ import heapq
 import itertools
 import os
 import selectors
-import threading
 import time
 from collections import deque
 
@@ -36,15 +35,14 @@ class Handle:
 
 
 class Future:
-    """Minimal completion token usable from loop callbacks and, in realtime
-    mode, from foreign threads."""
+    """Minimal completion token for loop callbacks.  It never blocks: a
+    thread outside the loop waits on its own primitive instead."""
 
     def __init__(self):
         self._done = False
         self._result = None
         self._exc = None
         self._callbacks = []
-        self._event = threading.Event()
 
     def done(self):
         return self._done
@@ -54,7 +52,6 @@ class Future:
             raise RuntimeError("future already resolved")
         self._done = True
         self._result = value
-        self._event.set()
         self._run_callbacks()
 
     def set_exception(self, exc):
@@ -62,7 +59,6 @@ class Future:
             raise RuntimeError("future already resolved")
         self._done = True
         self._exc = exc
-        self._event.set()
         self._run_callbacks()
 
     def add_done_callback(self, fn):
@@ -71,9 +67,9 @@ class Future:
         else:
             self._callbacks.append(fn)
 
-    def result(self, timeout=None):
-        if not self._event.wait(timeout):
-            raise TimeoutError("future not resolved in time")
+    def result(self):
+        if not self._done:
+            raise RuntimeError("future not resolved yet")
         if self._exc is not None:
             raise self._exc
         return self._result
@@ -100,7 +96,6 @@ class EventLoop:
         self._heap = []
         self._seq = itertools.count()
         self._now_us = 0
-        self._running = False
         self._stopped = False
         if realtime:
             self._t0 = time.monotonic_ns()
@@ -111,7 +106,6 @@ class EventLoop:
             self._waker_r, self._waker_w = os.pipe()
             os.set_blocking(self._waker_r, False)
             self._selector.register(self._waker_r, selectors.EVENT_READ, None)
-            self._thread_id = None
 
     # -- clock -----------------------------------------------------------
 
@@ -143,40 +137,36 @@ class EventLoop:
 
     # -- virtual driver ----------------------------------------------------
 
-    def _pop_due(self, limit_us):
+    def _run_due(self, limit_us):
+        """Run the next live event due by limit_us, moving the clock to it;
+        False when there is none."""
         heap = self._heap
         while heap and heap[0][0] <= limit_us:
             handle = heapq.heappop(heap)[2]
             if not handle.cancelled:
-                return handle
-        return None
+                self._now_us = max(self._now_us, handle.when_us)
+                handle._fn(*handle._args)
+                return True
+        return False
 
     def run_until_idle(self, max_events=None):
         """Execute every queued event, jumping the clock forward."""
         if self.realtime:
             raise RuntimeError("run_until_idle requires a virtual loop")
         count = 0
-        while True:
-            handle = self._pop_due(float("inf"))
-            if handle is None:
-                return count
-            self._now_us = max(self._now_us, handle.when_us)
-            handle._fn(*handle._args)
+        while self._run_due(float("inf")):
             count += 1
             if max_events is not None and count >= max_events:
                 raise RuntimeError("event budget exhausted")
+        return count
 
     def run_for(self, duration_us):
         """Execute events due within the window, then land on its end."""
         if self.realtime:
             raise RuntimeError("run_for requires a virtual loop")
         end = self._now_us + int(duration_us)
-        while True:
-            handle = self._pop_due(end)
-            if handle is None:
-                break
-            self._now_us = max(self._now_us, handle.when_us)
-            handle._fn(*handle._args)
+        while self._run_due(end):
+            pass
         self._now_us = end
 
     def run_until(self, predicate, timeout_us=None):
@@ -184,15 +174,12 @@ class EventLoop:
         if self.realtime:
             raise RuntimeError("run_until requires a virtual loop")
         deadline = None if timeout_us is None else self._now_us + timeout_us
+        limit = float("inf") if deadline is None else deadline
         while not predicate():
-            limit = float("inf") if deadline is None else deadline
-            handle = self._pop_due(limit)
-            if handle is None:
+            if not self._run_due(limit):
                 if deadline is not None:
                     self._now_us = deadline
                 break
-            self._now_us = max(self._now_us, handle.when_us)
-            handle._fn(*handle._args)
         return predicate()
 
     # -- realtime driver -------------------------------------------------
@@ -229,13 +216,8 @@ class EventLoop:
     def run_forever(self):
         if not self.realtime:
             raise RuntimeError("run_forever requires a realtime loop")
-        self._thread_id = threading.get_ident()
-        self._running = True
-        try:
-            while not self._stopped:
-                self._run_once()
-        finally:
-            self._running = False
+        while not self._stopped:
+            self._run_once()
 
     def stop(self):
         self._stopped = True

@@ -3,7 +3,8 @@
 Covers ICMP Echo, ICMP Time Exceeded, gratuitous ARP, and a private
 router-identity exchange carried in ICMP type 200.  All multi-byte fields
 are network byte order; MAC addresses are colon-separated strings and IPv4
-addresses dotted quads at this module's surface.  Replies built from a
+addresses dotted quads at this module's surface, except in an Echo Request
+template, whose caller converts its addresses once.  Replies built from a
 received frame copy its raw address bytes and never convert them.
 
 A received frame is parsed once, into an ICMP view: parse_reply,
@@ -167,13 +168,13 @@ def check_echo_payload(payload):
 def echo_request_template(src_ip, dst_ip, src_mac, dst_mac, icmp_id,
                           payload=b""):
     """Everything the Echo Requests of one task share, for
-    stamp_echo_request.  Raises PayloadTooLarge like check_echo_payload."""
+    stamp_echo_request.  The addresses are raw bytes, converted once by
+    the caller.  Raises PayloadTooLarge like check_echo_payload."""
     check_echo_payload(payload)
     payload = bytes(payload)
-    addrs = ip_to_bytes(src_ip) + ip_to_bytes(dst_ip)
+    addrs = src_ip + dst_ip
     ip_front = struct.pack("!BBHHH", 0x45, 0, 28 + len(payload), 0, 0)
-    head = _ETH.pack(mac_to_bytes(dst_mac), mac_to_bytes(src_mac),
-                     ETH_TYPE_IPV4) + ip_front
+    head = _ETH.pack(dst_mac, src_mac, ETH_TYPE_IPV4) + ip_front
     # sums of every word but TTL (the high byte of the TTL/protocol word)
     # and the ICMP sequence number
     ip_sum = _word_sum(ip_front + addrs) + IP_PROTO_ICMP
@@ -195,9 +196,10 @@ def stamp_echo_request(template, icmp_seq, ttl):
 def build_echo_request(probe):
     """ICMP Echo Request frame for one probe.  Raises PayloadTooLarge when
     the IP datagram would not fit a 1500-byte MTU."""
-    template = echo_request_template(probe.src_ip, probe.dst_ip,
-                                     probe.src_mac, probe.dst_mac,
-                                     probe.icmp_id, probe.payload)
+    template = echo_request_template(
+        ip_to_bytes(probe.src_ip), ip_to_bytes(probe.dst_ip),
+        mac_to_bytes(probe.src_mac), mac_to_bytes(probe.dst_mac),
+        probe.icmp_id, probe.payload)
     return stamp_echo_request(template, probe.icmp_seq, probe.ttl)
 
 
@@ -313,16 +315,16 @@ def parse_reply(frame):
 
 
 def parse_router_id_query(frame):
-    """Return (querier_ip, icmp_id, icmp_seq) if the frame is a well-formed
-    identity query, else None."""
+    """The ICMP view of the frame (see _icmp_view) if it is a well-formed
+    identity query, for build_router_id_reply; else None."""
     view = parse_icmp(frame)
     if view is None:
         return None
-    icmp_type, code, ident, seq, _ttl, src_ip, _dst, icmp, _ed, _es = view
+    icmp_type, code, _id, _seq, _ttl, _src, _dst, icmp, _ed, _es = view
     if (icmp_type != ICMP_ROUTER_ID or code != ROUTER_ID_QUERY
             or internet_checksum(icmp) != 0):
         return None
-    return ip_from_bytes(src_ip), ident, seq
+    return view
 
 
 def _reply_to(view, src_ip, icmp, ttl):

@@ -4,7 +4,11 @@ The controller listens; switches dial in.  On accept we send HELLO, expect
 the peer's HELLO, request features and go active once the FEATURES_REPLY
 arrives.  A session tracks in-flight echo requests so the control-channel
 round trip can be sampled on demand, and timestamps every PACKET_IN the
-moment it is decoded.
+moment it is decoded.  Echoes share one timeout, so they time out in send
+order: one deadline, at the oldest pending echo's send time plus the
+timeout, fails the echoes past it and re-arms for the oldest one left.  It
+is cancelled once no echo is pending, so a drained loop stops at the last
+echo reply.
 """
 
 import logging
@@ -53,9 +57,9 @@ class SwitchSession:
         self._echo_timeout_us = echo_timeout_us
         self._framer = wire.MessageStream()
         self._xid = 0
-        self._pending_echoes = {}
+        self._pending_echoes = {}   # xid -> (t_sent, future), in send order
+        self._echo_deadline = None
         self._peer_hello = False
-        self._features_requested = False
         self.state = HANDSHAKE_PENDING
         self.datapath_id = None
         self.ready = Future()
@@ -98,7 +102,6 @@ class SwitchSession:
         if t == wire.OFPT_HELLO:
             if not self._peer_hello:
                 self._peer_hello = True
-                self._features_requested = True
                 self._send(wire.features_request(self._next_xid()))
         elif t == wire.OFPT_FEATURES_REPLY:
             if self.state == HANDSHAKE_PENDING:
@@ -113,9 +116,11 @@ class SwitchSession:
             entry = self._pending_echoes.pop(msg.xid, None)
             if entry is None:
                 return
-            t_sent, fut, timer = entry
-            timer.cancel()
-            fut.set_result(now_us - t_sent)
+            if not self._pending_echoes:
+                # before the callbacks, which may send the next echo
+                self._echo_deadline.cancel()
+                self._echo_deadline = None
+            entry[1].set_result(now_us - entry[0])
         elif t == wire.OFPT_PACKET_IN:
             if self.state == ACTIVE and self.packet_in_handler is not None:
                 self.packet_in_handler(msg.body.frame, now_us, msg.body.in_port)
@@ -135,16 +140,28 @@ class SwitchSession:
             raise SessionClosed("session is not active")
         xid = self._next_xid()
         fut = Future()
-        timer = self._loop.call_later(self._echo_timeout_us,
-                                      self._on_echo_timeout, xid)
-        self._pending_echoes[xid] = (self._loop.now_us(), fut, timer)
+        t_sent = self._loop.now_us()
+        self._pending_echoes[xid] = (t_sent, fut)
+        if self._echo_deadline is None:
+            self._echo_deadline = self._loop.call_at(
+                t_sent + self._echo_timeout_us, self._expire_echoes)
         self._send(wire.echo_request(xid))
         return fut
 
-    def _on_echo_timeout(self, xid):
-        entry = self._pending_echoes.pop(xid, None)
-        if entry is not None:
-            entry[1].set_exception(EchoTimeout("echo xid %d unanswered" % xid))
+    def _expire_echoes(self):
+        """Fail every echo past its timeout, after re-arming for the oldest
+        one left: a failed echo's callback may send the next."""
+        pending = self._pending_echoes
+        cutoff = self._loop.now_us() - self._echo_timeout_us
+        failed = [(xid, fut) for xid, (t_sent, fut) in pending.items()
+                  if t_sent <= cutoff]
+        for xid, _fut in failed:
+            del pending[xid]
+        self._echo_deadline = self._loop.call_at(
+            next(iter(pending.values()))[0] + self._echo_timeout_us,
+            self._expire_echoes) if pending else None
+        for xid, fut in failed:
+            fut.set_exception(EchoTimeout("echo xid %d unanswered" % xid))
 
     def send_probe(self, out_port, frame):
         """Emit a dataplane frame through the switch.  Returns the send
@@ -173,11 +190,12 @@ class SwitchSession:
             return
         self.state = CLOSED
         self._hs_timer.cancel()
-        for t_sent, fut, timer in self._pending_echoes.values():
-            timer.cancel()
-            if not fut.done():
-                fut.set_exception(SessionClosed("session closed"))
-        self._pending_echoes.clear()
+        if self._echo_deadline is not None:
+            self._echo_deadline.cancel()
+            self._echo_deadline = None
+        pending, self._pending_echoes = self._pending_echoes, {}
+        for _t_sent, fut in pending.values():
+            fut.set_exception(SessionClosed("session closed"))
         if not self.ready.done():
             self.ready.set_exception(exc or SessionClosed("closed during handshake"))
         self._conn.close()

@@ -13,6 +13,10 @@ import socket
 
 log = logging.getLogger(__name__)
 
+# Bytes a TCP connection buffers for a peer that is not reading; above the
+# 97 MiB of PacketOuts of the largest task, 65,535 full-size Echo Requests.
+MAX_BACKLOG = 128 << 20
+
 
 class TransportClosed(Exception):
     pass
@@ -88,7 +92,9 @@ class TcpConnection:
     """Nonblocking socket adapter driven by a realtime loop.
 
     Writes that the kernel cannot take immediately are buffered and flushed
-    in order when the socket becomes writable again.
+    in order when the socket becomes writable again.  A write that would
+    take the buffer past MAX_BACKLOG is counted in backlog_overflows and
+    closes the connection the way a failed write does.
     """
 
     def __init__(self, loop, sock):
@@ -98,6 +104,7 @@ class TcpConnection:
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._receiver = None
         self._backlog = bytearray()
+        self.backlog_overflows = 0
         self.closed = False
         loop.add_reader(sock.fileno(), self._on_readable)
 
@@ -108,7 +115,13 @@ class TcpConnection:
         if self.closed:
             raise TransportClosed("socket is closed")
         if self._backlog:
-            self._backlog += data
+            if len(self._backlog) + len(data) > MAX_BACKLOG:
+                # the peer stopped reading: hang up from the loop.  Later
+                # writes that fit queue behind the gap and are discarded.
+                self.backlog_overflows += 1
+                self._loop.call_soon(self._lost)
+            else:
+                self._backlog += data
             return
         try:
             sent = self._sock.send(data)

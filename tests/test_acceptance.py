@@ -270,7 +270,7 @@ def test_criterion_08_router_identity_round_trip():
     stack = VirtualStack(topo)
     fut = stack.engine.start_router_id_query("203.0.113.5")
     stack.run()
-    identity = fut.result(0)
+    identity = fut.result()
     query_ok = identity == frames.RouterIdentity(65001, "core-rtr-1")
     # serving disabled: a query frame in through PacketIn gets no PacketOut
     quiet = VirtualStack(make_topology())

@@ -1,11 +1,12 @@
 """Control API: routing, validation, policy, rate limiting, determinism."""
 
 import json
+import threading
 
 import pytest
 
 from ofprobe import frames, netsim
-from ofprobe.api import ApiApp, TokenBucket, render_json
+from ofprobe.api import ApiApp, ApiHttpServer, TokenBucket, render_json
 from ofprobe.config import PolicyConfig
 from ofprobe.engine import ID_SPACE, MeasurementEngine, ProbeSettings
 from ofprobe.eventloop import EventLoop
@@ -344,3 +345,31 @@ def test_router_config_serve_gated_by_policy():
     # turning it off is always allowed
     assert app.dispatch("PUT", "/routerid/config",
                         json.dumps({"serve": False}).encode())[0] == 200
+
+
+# -- realtime bridge --------------------------------------------------------------
+
+
+def test_foreign_thread_gets_the_dispatch_result_from_the_loop():
+    loop = EventLoop(realtime=True)
+    app = ApiApp(MeasurementEngine(loop, ProbeSettings()), PolicyConfig())
+    on_thread = []
+    dispatch = app.dispatch
+
+    def recording(*args):
+        on_thread.append(threading.get_ident())
+        return dispatch(*args)
+
+    app.dispatch = recording
+    server = ApiHttpServer(app, loop, host="127.0.0.1", port=0)
+    server.start()
+    runner = threading.Thread(target=loop.run_forever, daemon=True)
+    runner.start()
+    try:
+        assert server._run_dispatch("GET", "/ping/dump", b"", {}) == (200, {})
+        assert on_thread == [runner.ident]
+    finally:
+        loop.call_threadsafe(loop.stop)
+        runner.join(timeout=5)
+        server.stop()
+        loop.close()

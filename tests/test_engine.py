@@ -330,20 +330,74 @@ def test_answered_task_drains_at_its_last_reply():
     probes = stack.engine.dump_ping()[str(icmp_id)]["probes"]
     assert all(t_in is not None for _t, t_in, _r in probes)
     assert stack.loop.now_us() == max(t_in for _t, t_in, _r in probes)
-    assert stack.engine.pings[icmp_id].deadline is None
+    assert stack.engine.pings[icmp_id].open == 0
+    assert stack.engine._deadline is None  # cancelled at the last reply
 
 
 def test_clear_cancels_the_deadline():
     stack = VirtualStack(ping_topo(responds=False))
-    icmp_id = stack.engine.start_ping("192.0.2.1", 2)
+    stack.engine.start_ping("192.0.2.1", 2)
     stack.loop.run_for(100_000)
-    deadline = stack.engine.pings[icmp_id].deadline
+    deadline = stack.engine._deadline
     assert deadline is not None and not deadline.cancelled
     stack.engine.clear_ping()
-    assert deadline.cancelled
+    assert deadline.cancelled and stack.engine._deadline is None
     cleared_at = stack.loop.now_us()
     stack.loop.run_until_idle()
     assert stack.loop.now_us() == cleared_at  # nothing left to fire
+
+
+def test_interleaved_spaced_tasks_share_one_deadline():
+    stack = VirtualStack(ping_topo(responds=False))
+    timeout = stack.engine.settings.probe_timeout_us
+    armed = []  # (armed at, fires at) of every expiry deadline
+    call_at = stack.loop.call_at
+
+    def recording(when_us, fn, *args):
+        if getattr(fn, "__func__", None) is MeasurementEngine._expire_records:
+            armed.append((stack.loop.now_us(), when_us))
+        return call_at(when_us, fn, *args)
+
+    stack.loop.call_at = recording
+    first = stack.engine.start_ping("192.0.2.1", 3, gap_us=700_000)
+    stack.loop.run_for(350_000)
+    second = stack.engine.start_ping("192.0.2.1", 3, gap_us=700_000)
+    stack.loop.run_for(2 * 700_000 + 100_000)  # every probe is out
+    records = sorted((r for icmp_id in (first, second)
+                      for r in stack.engine.pings[icmp_id].records.values()),
+                     key=lambda r: r.t_out)
+    assert len(records) == 6
+    for record in records:
+        stack.loop.run_until(lambda: record.expired)
+        assert stack.loop.now_us() == record.t_out + timeout
+    # one deadline at a time: each later one is armed as the one before fires
+    assert [when for _at, when in armed] == [r.t_out + timeout
+                                             for r in records]
+    assert [at for at, _when in armed[1:]] == [when for _at, when in armed[:-1]]
+    assert stack.engine.pings[first].done and stack.engine.pings[second].done
+
+
+def test_a_clear_skips_its_records_and_keeps_the_other_kinds_deadline():
+    topo = trace_topo()
+    topo.targets["192.0.2.1"] = netsim.TargetSpec(base_rtt_us=20_000,
+                                                  responds=False)
+    stack = VirtualStack(topo)
+    timeout = stack.engine.settings.probe_timeout_us
+    ping_id = stack.engine.start_ping("192.0.2.1", 2, gap_us=100_000)
+    stack.loop.run_for(50_000)
+    trace_id = stack.engine.start_traceroute("192.0.2.66")
+    stack.loop.run_for(200_000)
+    ping = stack.engine.pings[ping_id]
+    stack.engine.clear_ping()
+    task = stack.engine.traceroutes[trace_id]
+    assert stack.engine._deadline is not None  # the traceroute is still open
+    stack.loop.run_until_idle()
+    assert not any(r.expired for r in ping.records.values())
+    assert all(r.expired for r in task.records.values())
+    assert stack.loop.now_us() == task.records[0].t_out + timeout
+    assert stack.engine._open == 0
+    assert stack.engine.dump_traceroute()[str(trace_id)]["terminated"] \
+        == "max_ttl"
 
 
 # -- traceroute -----------------------------------------------------------------
@@ -413,7 +467,7 @@ def test_router_id_query_round_trip():
     stack = VirtualStack(topo)
     fut = stack.engine.start_router_id_query("203.0.113.5")
     stack.loop.run_until_idle()
-    assert fut.result(0) == frames.RouterIdentity(65001, "core-rtr-1")
+    assert fut.result() == frames.RouterIdentity(65001, "core-rtr-1")
     assert stack.engine.allocator.in_use == 0
 
 
@@ -422,7 +476,7 @@ def test_router_id_query_timeout_frees_the_id():
     fut = stack.engine.start_router_id_query("203.0.113.99")
     stack.loop.run_until_idle()
     with pytest.raises(TimeoutError):
-        fut.result(0)
+        fut.result()
     assert stack.engine.allocator.in_use == 0
 
 
@@ -440,6 +494,24 @@ def test_router_id_serving_when_enabled():
     parsed = frames.parse_reply(served[-1])
     assert parsed.kind == frames.ReplyKind.ROUTER_ID_REPLY
     assert frames.decode_router_identity(parsed.payload).ident == "vantage-1"
+
+
+def test_served_identity_reply_bytes_are_unchanged():
+    # bytes the engine served before it parsed a query only once
+    stack = VirtualStack(make_topology())
+    stack.engine.set_router_config(True,
+                                   frames.RouterIdentity(64512, "vantage-1"))
+    query = frames.build_router_id_query(
+        src_ip="198.51.100.7", dst_ip="10.0.0.100",
+        src_mac="02:aa:aa:aa:aa:01", dst_mac="02:00:00:00:00:64", icmp_id=9,
+        icmp_seq=4)
+    stack.switch.receive_dataplane(query, 1)
+    stack.loop.run_until_idle()
+    _t, port, served = stack.switch.emitted[-1]
+    assert port == 1
+    assert served == bytes.fromhex(
+        "02aaaaaaaa0102000000006408004500002a00000000400146350a000064c633"
+        "6407c801c813000900040000fc000976616e746167652d31")
 
 
 def test_router_id_serving_disabled_by_default():
@@ -603,7 +675,7 @@ def test_spaced_ping_samples_every_emission():
     entry = stack.run_ping("192.0.2.1", 3, gap_us=100_000)
     assert link.queue == []
     assert len(echoes) == 3
-    assert [f.result(0) for f in echoes] == [7000, 8000, 3000]
+    assert [f.result() for f in echoes] == [7000, 8000, 3000]
     assert entry["rtt_cs_us"] == (7000 + 8000 + 3000) / 3
     # each probe's raw RTT is its own legs plus the 22.5 ms switch/target
     # path: an echo in the PacketOut's segment adds no bundle penalty

@@ -1,5 +1,6 @@
 """Scheduler semantics on the virtual clock, plus the realtime driver."""
 
+import queue
 import socket
 import threading
 import time
@@ -121,7 +122,7 @@ def test_nested_scheduling_keeps_clock_monotonic():
 def test_future_callbacks_and_results():
     fut = Future()
     seen = []
-    fut.add_done_callback(lambda f: seen.append(f.result(0)))
+    fut.add_done_callback(lambda f: seen.append(f.result()))
     fut.set_result(99)
     assert seen == [99]
     # late registration fires immediately
@@ -136,12 +137,14 @@ def test_future_exception_propagates():
     fut.set_exception(ValueError("boom"))
     assert isinstance(fut.exception(), ValueError)
     with pytest.raises(ValueError):
-        fut.result(0)
+        fut.result()
 
 
-def test_future_result_timeout():
-    with pytest.raises(TimeoutError):
-        Future().result(timeout=0.01)
+def test_unresolved_future_result_raises_at_once():
+    fut = Future()
+    with pytest.raises(RuntimeError):
+        fut.result()
+    assert not fut.done()
 
 
 # -- virtual transport -----------------------------------------------------
@@ -214,11 +217,11 @@ def test_closed_endpoint_rejects_and_stays_silent():
 
 def test_realtime_loop_runs_timers_and_threadsafe_calls():
     loop = EventLoop(realtime=True)
-    fut = Future()
-    loop.call_threadsafe(loop.call_later, 1000, fut.set_result, "timer")
+    fired = queue.Queue()
+    loop.call_threadsafe(loop.call_later, 1000, fired.put, "timer")
     runner = threading.Thread(target=loop.run_forever, daemon=True)
     runner.start()
-    assert fut.result(timeout=5) == "timer"
+    assert fired.get(timeout=5) == "timer"
     loop.stop()
     runner.join(timeout=5)
     assert not runner.is_alive()
@@ -227,7 +230,7 @@ def test_realtime_loop_runs_timers_and_threadsafe_calls():
 
 def test_realtime_tcp_round_trip():
     loop = EventLoop(realtime=True)
-    got = Future()
+    got = queue.Queue()
     conns = []
 
     def on_accept(conn, addr):
@@ -241,11 +244,11 @@ def test_realtime_tcp_round_trip():
     def client():
         conn = transport.connect_tcp(loop, "127.0.0.1", listener.port)
         conns.append(conn)
-        conn.set_receiver(lambda data: got.set_result(bytes(data)))
+        conn.set_receiver(lambda data: got.put(bytes(data)))
         conn.send(b"abc")
 
     loop.call_threadsafe(client)
-    assert got.result(timeout=5) == b"ABC"
+    assert got.get(timeout=5) == b"ABC"
     loop.stop()
     runner.join(timeout=5)
     for conn in conns:
@@ -257,7 +260,7 @@ def test_realtime_tcp_round_trip():
 def test_tcp_end_of_stream_reaches_the_receiver_once():
     loop = EventLoop(realtime=True)
     got = []
-    hung_up = Future()
+    hung_up = queue.Queue()
     conns = []
 
     def on_accept(conn, addr):
@@ -266,7 +269,7 @@ def test_tcp_end_of_stream_reaches_the_receiver_once():
         def receive(data):
             got.append(bytes(data))
             if not data:
-                hung_up.set_result(conn.closed)
+                hung_up.put(conn.closed)
 
         conn.set_receiver(receive)
 
@@ -275,7 +278,7 @@ def test_tcp_end_of_stream_reaches_the_receiver_once():
     runner.start()
     with socket.create_connection(("127.0.0.1", listener.port)) as peer:
         peer.sendall(b"abc")
-    assert hung_up.result(timeout=5) is True  # closed before it is told
+    assert hung_up.get(timeout=5) is True  # closed before it is told
     loop.stop()
     runner.join(timeout=5)
     assert got == [b"abc", b""]
@@ -310,6 +313,51 @@ def test_failed_write_reaches_the_receiver_from_the_loop():
         loop.call_soon(loop.stop)
         loop.run_forever()
         assert got == [b""] and conn.closed
+    loop.close()
+
+
+def _drain(sock):
+    """Everything a nonblocking socket can read now."""
+    out = bytearray()
+    while True:
+        try:
+            data = sock.recv(1 << 16)
+        except BlockingIOError:
+            return bytes(out)
+        if not data:
+            return bytes(out)
+        out += data
+
+
+def test_backlog_past_the_cap_hangs_up_on_a_peer_that_never_reads(
+        monkeypatch):
+    monkeypatch.setattr(transport, "MAX_BACKLOG", 256 << 10)
+    loop = EventLoop(realtime=True)
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        sock.connect(server.getsockname())
+        with server.accept()[0] as peer:
+            conn = transport.TcpConnection(loop, sock)
+            got = []
+            conn.set_receiver(got.append)
+            for _ in range(64):  # 4 MiB: past the kernel's buffers and the cap
+                conn.send(bytes(64 << 10))
+                if conn.backlog_overflows:
+                    break
+            conn.send(b"y" * 100)  # fits under the cap, but after a gap
+            assert conn.backlog_overflows == 1
+            assert got == [] and not conn.closed  # never inside a send
+            # the peer reads at last: nothing after the gap may reach it
+            peer.setblocking(False)
+            received = _drain(peer)
+            loop.call_later(50_000, loop.stop)
+            loop.run_forever()
+            assert got == [b""] and conn.closed and sock.fileno() == -1
+            peer.settimeout(5)
+            while data := peer.recv(1 << 16):
+                received += data
+            assert b"y" not in received
     loop.close()
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ofprobe import frames
+from ofprobe.wire import ip_from_bytes, ip_to_bytes
 from ofprobe.frames import (
     EchoProbe,
     MalformedFrame,
@@ -129,6 +130,12 @@ def assemble_echo_request(probe):
     return eth + ip + icmp
 
 
+# a template takes its addresses as the bytes on the wire
+RAW_ADDRESSES = (ip_to_bytes(PROBE.src_ip), ip_to_bytes(PROBE.dst_ip),
+                 frames.mac_to_bytes(PROBE.src_mac),
+                 frames.mac_to_bytes(PROBE.dst_mac))
+
+
 @given(icmp_id=st.integers(0, 0xFFFF),
        stamps=st.lists(st.tuples(st.integers(0, 0xFFFF), st.integers(1, 255)),
                        min_size=1, max_size=4),
@@ -137,9 +144,7 @@ def assemble_echo_request(probe):
 def test_template_frames_match_the_reference(icmp_id, stamps, payload_len,
                                              fill):
     payload = bytes((fill + 37 * i) & 0xFF for i in range(payload_len))
-    template = frames.echo_request_template(
-        PROBE.src_ip, PROBE.dst_ip, PROBE.src_mac, PROBE.dst_mac, icmp_id,
-        payload)
+    template = frames.echo_request_template(*RAW_ADDRESSES, icmp_id, payload)
     # one template serves every probe of a task
     for seq, ttl in stamps:
         probe = EchoProbe(**{**PROBE.__dict__, "icmp_id": icmp_id,
@@ -151,9 +156,8 @@ def test_template_frames_match_the_reference(icmp_id, stamps, payload_len,
 
 def test_template_refuses_an_oversized_payload():
     with pytest.raises(PayloadTooLarge):
-        frames.echo_request_template(
-            PROBE.src_ip, PROBE.dst_ip, PROBE.src_mac, PROBE.dst_mac, 1,
-            bytes(frames.MAX_ECHO_PAYLOAD + 1))
+        frames.echo_request_template(*RAW_ADDRESSES, 1,
+                                     bytes(frames.MAX_ECHO_PAYLOAD + 1))
 
 
 def test_gratuitous_arp_matches_fixture():
@@ -281,7 +285,9 @@ def test_identity_query_reply_exchange():
         src_ip="10.0.0.100", dst_ip="203.0.113.5",
         src_mac="02:00:00:00:00:64", dst_mac="02:00:00:00:00:01",
         icmp_id=41, icmp_seq=2)
-    assert frames.parse_router_id_query(query) == ("10.0.0.100", 41, 2)
+    view = frames.parse_router_id_query(query)
+    assert view[2:4] == (41, 2)  # icmp_id, icmp_seq
+    assert ip_from_bytes(view[5]) == "10.0.0.100"  # the querier
 
     reply = frames.build_router_id_reply(query,
                                          RouterIdentity(65001, "core-rtr-1"))

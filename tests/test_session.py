@@ -2,6 +2,7 @@
 a switch hanging up on a live controller over TCP."""
 
 import json
+import queue
 import threading
 import time
 
@@ -11,7 +12,7 @@ from ofprobe import netsim, transport, wire
 from ofprobe.config import ControllerConfig
 from ofprobe.controller import Controller
 from ofprobe.engine import ProbeSettings
-from ofprobe.eventloop import EventLoop, Future
+from ofprobe.eventloop import EventLoop
 from ofprobe.session import (
     ACTIVE,
     CLOSED,
@@ -79,7 +80,7 @@ def test_handshake_reaches_active():
     assert session.state == ACTIVE
     assert session.datapath_id == 0xABCDEF
     assert session.ready.done()
-    assert session.ready.result(0) is session
+    assert session.ready.result() is session
     # hello went out first
     assert peer.types()[0] == wire.OFPT_HELLO
 
@@ -93,7 +94,7 @@ def test_handshake_timeout_closes_session():
     assert session.state == CLOSED
     assert loop.now_us() >= 5_000_000
     with pytest.raises(HandshakeTimeout):
-        session.ready.result(0)
+        session.ready.result()
 
 
 def test_foreign_version_aborts_session():
@@ -103,7 +104,7 @@ def test_foreign_version_aborts_session():
     loop.run_until_idle()
     assert session.state == CLOSED
     with pytest.raises(HandshakeFailed):
-        session.ready.result(0)
+        session.ready.result()
 
 
 def test_unsupported_types_are_skipped_not_fatal():
@@ -126,7 +127,7 @@ def test_echo_sampling_measures_round_trip():
     complete_handshake(loop, session, peer)
     fut = session.sample_switch_rtt()
     loop.run_until_idle()
-    assert fut.result(0) == 2000
+    assert fut.result() == 2000
 
 
 def test_echo_timeout():
@@ -136,7 +137,86 @@ def test_echo_timeout():
     fut = session.sample_switch_rtt()
     loop.run_until_idle()
     with pytest.raises(EchoTimeout):
-        fut.result(0)
+        fut.result()
+
+
+def echo_requests(peer):
+    return [m for m in peer.received if m.msg_type == wire.OFPT_ECHO_REQUEST]
+
+
+def settle(loop, fut, log):
+    fut.add_done_callback(lambda f: log.append((f, loop.now_us())))
+
+
+def test_each_echo_times_out_after_its_own_send():
+    loop = EventLoop()
+    session, peer = make_session(loop, echo_timeout_us=100_000)
+    complete_handshake(loop, session, peer)
+    failed, sent_at = [], []
+    for gap in (0, 30_000, 20_000):
+        loop.run_for(gap)
+        sent_at.append(loop.now_us())
+        settle(loop, session.sample_switch_rtt(), failed)
+    loop.run_until_idle()
+    assert [t for _f, t in failed] == [t + 100_000 for t in sent_at]
+    assert all(isinstance(f.exception(), EchoTimeout) for f, _t in failed)
+
+
+def test_an_echo_sent_from_a_timeout_callback_still_times_out():
+    loop = EventLoop()
+    session, peer = make_session(loop, echo_timeout_us=100_000)
+    complete_handshake(loop, session, peer)
+    first_sent = loop.now_us()
+    later = []
+    session.sample_switch_rtt().add_done_callback(
+        lambda f: later.append(session.sample_switch_rtt()))
+    loop.run_until_idle()
+    assert isinstance(later[0].exception(), EchoTimeout)
+    assert loop.now_us() == first_sent + 200_000
+
+
+def test_an_answered_echo_never_fails():
+    loop = EventLoop()
+    session, peer = make_session(loop, echo_timeout_us=100_000)
+    complete_handshake(loop, session, peer)
+    settled, sent_at = [], []
+    for _ in range(3):
+        sent_at.append(loop.now_us())
+        settle(loop, session.sample_switch_rtt(), settled)
+        loop.run_for(10_000)
+    # the middle one is answered, 1 ms from now
+    peer.send(wire.echo_reply(echo_requests(peer)[1].xid))
+    loop.run_until_idle()
+    answered = [(f, t) for f, t in settled if f.exception() is None]
+    assert [(f.result(), t) for f, t in answered] == [
+        (sent_at[2] + 11_000 - sent_at[1], sent_at[2] + 11_000)]
+    assert [t for f, t in settled if f.exception() is not None] == [
+        sent_at[0] + 100_000, sent_at[2] + 100_000]
+
+
+def test_drained_loop_stops_at_the_last_echo_reply():
+    loop = EventLoop()
+    session, peer = make_session(loop, auto_echo=True)  # 1 ms each way
+    complete_handshake(loop, session, peer)
+    futs = [session.sample_switch_rtt()]
+    loop.run_for(500)
+    futs.append(session.sample_switch_rtt())
+    sent_last = loop.now_us()
+    loop.run_until_idle()
+    assert [f.result() for f in futs] == [2000, 2000]
+    assert loop.now_us() == sent_last + 2000
+
+
+def test_close_fails_pending_echoes_before_their_deadline():
+    loop = EventLoop()
+    session, peer = make_session(loop, echo_timeout_us=100_000)
+    complete_handshake(loop, session, peer)
+    futs = [session.sample_switch_rtt(), session.sample_switch_rtt()]
+    deadline = loop.now_us() + 100_000
+    session.close()
+    assert all(isinstance(f.exception(), SessionClosed) for f in futs)
+    loop.run_until_idle()
+    assert loop.now_us() < deadline
 
 
 def test_unmatched_echo_reply_ignored():
@@ -216,7 +296,7 @@ def test_operations_refused_before_active_and_after_close():
     session.close()
     assert session.state == CLOSED
     with pytest.raises(SessionClosed):
-        fut.result(0)
+        fut.result()
     with pytest.raises(SessionClosed):
         session.send_probe(1, b"")
 
@@ -233,7 +313,7 @@ def test_peer_hang_up_closes_the_session():
     assert session.state == CLOSED
     assert [type(exc) for exc in calls] == [SessionClosed]
     with pytest.raises(SessionClosed):
-        fut.result(0)
+        fut.result()
 
 
 def test_close_handler_fires_once():
@@ -250,9 +330,9 @@ def test_close_handler_fires_once():
 
 
 def on_loop(loop, fn):
-    fut = Future()
-    loop.call_threadsafe(lambda: fut.set_result(fn()))
-    return fut.result(timeout=5)
+    answer = queue.Queue()
+    loop.call_threadsafe(lambda: answer.put(fn()))
+    return answer.get(timeout=5)
 
 
 def wait_for(loop, predicate):
