@@ -30,6 +30,9 @@ _ROUTES = {
     ("PUT", "/traceroute"): ("put_task", "traceroute"),
     ("GET", "/traceroute/dump"): ("get_dump", "traceroute"),
     ("POST", "/traceroute/clear"): ("post_clear", "traceroute"),
+    ("PUT", "/router_id_query"): ("put_task", "router_id_query"),
+    ("GET", "/router_id_query/dump"): ("get_dump", "router_id_query"),
+    ("POST", "/router_id_query/clear"): ("post_clear", "router_id_query"),
     ("GET", "/routerid/config"): ("get_router_config",),
     ("PUT", "/routerid/config"): ("put_router_config",),
 }
@@ -192,6 +195,10 @@ class ApiApp:
         return MAX_TTL * ppt, (ppt,)
 
     @staticmethod
+    def _router_id_query_args(_body):
+        return 1, ()
+
+    @staticmethod
     def _opt_int(body, key):
         value = body.get(key)
         if value is None:
@@ -234,9 +241,7 @@ class ApiApp:
             except ValueError as exc:
                 raise _BadRequest(str(exc))
         self.engine.set_router_config(serve, identity)
-        return 200, {"serve": serve,
-                     "asn": identity.asn if identity else None,
-                     "ident": identity.ident if identity else None}
+        return self.get_router_config(body)
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -27,6 +27,10 @@ Sections and defaults:
     serve = false
     asn = 0
     ident =
+
+allowed_tasks names the task kinds the API may start, by the name of their
+route (ping, traceroute, router_id_query), and router_id_serve, which lets
+it turn identity serving on.
 """
 
 import configparser

@@ -1,14 +1,16 @@
 """Measurement core: probe tasks, reply correlation and RTT correction.
 
-Ping and traceroute are one task model, ProbeTask: num Echo Requests,
-seq 0..num-1, where seq leaves with TTL first_ttl + seq // probes_per_ttl.
-A ping is one TTL level at the default TTL; a traceroute is MAX_TTL levels
-from TTL 1 and stops emitting once the destination answers.  Both kinds
-share one start, one emission path and one done rule: a task is done when
-its destination answered (traceroutes only) or when emission has finished
-and every record that was sent is answered or expired.  Probes skipped
-because the session went away leave no record, so a task whose switch
-disconnected still ends done.
+Ping, traceroute and the router-identity query are one task model,
+ProbeTask: num probes, seq 0..num-1, where seq leaves with TTL first_ttl +
+seq // probes_per_ttl.  A ping is one TTL level of Echo Requests at the
+default TTL; a traceroute is MAX_TTL levels from TTL 1 and stops emitting
+once the destination answers; an identity query is one ICMP type 200 probe
+whose reply also fills the task's identity.  Each kind is a schedule and a
+reply matcher: all share one start, emission path, expiry, clear and done
+rule.  A task is done when its destination answered (traceroutes only) or
+when emission has finished and every record that was sent is answered or
+expired.  Probes skipped because the session went away leave no record,
+so a task whose switch disconnected still ends done.
 
 A probe's controller-to-target round trip includes the control channel and
 the switch's processing on both legs.  The engine keeps a smoothed estimate
@@ -41,7 +43,7 @@ cancelled and the FIFO emptied, so a drained loop's clock stops at the last
 reply.  Records never point back at their task, so a clear frees its tasks
 by reference counting alone.
 
-A task's Echo Request template (Ethernet header, addresses, payload and
+A task's probe template (Ethernet header, addresses, payload and
 partial checksums) is built once when its probes start and handed along
 with each emission, so a probe only stamps its seq and TTL.
 
@@ -55,8 +57,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import frames, wire
-from .eventloop import Future
-from .frames import ReplyKind
+from .frames import ICMP_ECHO_REQUEST, ICMP_ROUTER_ID, ReplyKind
 from .session import ACTIVE, SessionClosed
 
 MAX_TTL = 30
@@ -153,7 +154,7 @@ class ProbeRecord:
 
 @dataclass(slots=True)
 class ProbeTask:
-    """A ping or a traceroute: num probes, seq leaving with ttl(seq)."""
+    """A task of any kind: num probes, seq leaving with ttl(seq)."""
     icmp_id: int
     target: str
     num: int                  # probes the task emits
@@ -162,6 +163,7 @@ class ProbeTask:
     out_port: int
     gap_us: int
     payload: bytes = b""
+    icmp_type: int = ICMP_ECHO_REQUEST
     rtt_cs_us: float = None   # mean of the task's control-channel samples
     rtt_cs_sum: float = 0.0
     rtt_cs_count: int = 0
@@ -170,6 +172,7 @@ class ProbeTask:
     dest_ttl: int = None      # lowest TTL the destination answered from
     emitted_all: bool = False
     cleared: bool = False
+    identity: frames.RouterIdentity = None  # an identity query's answer
 
     def ttl(self, seq):
         return self.first_ttl + seq // self.probes_per_ttl
@@ -204,6 +207,7 @@ class MeasurementEngine:
         self.allocator = IdAllocator()
         self.pings = {}
         self.traceroutes = {}
+        self.router_id_queries = {}
         self.router_identity = None
         self.router_id_serve = False
         self.counters = {
@@ -217,7 +221,6 @@ class MeasurementEngine:
             "router_id_served": 0,
         }
         self._session = None
-        self._pending_rid_queries = {}
         self._primed_ports = set()
         self._src_ip = wire.ip_to_bytes(self.settings.src_ip)
         self._src_mac = frames.mac_to_bytes(self.settings.src_mac)
@@ -288,8 +291,15 @@ class MeasurementEngine:
                            out_port, gap_us, first_ttl=1,
                            probes_per_ttl=probes_per_ttl)
 
+    def start_router_id_query(self, target, out_port=None,
+                              gap_us=None) -> int:
+        """One probe asking a host for its identity (the dump's asn, ident)."""
+        return self._start(self.router_id_queries, target, 1, out_port,
+                           gap_us, first_ttl=self.settings.default_ttl,
+                           probes_per_ttl=1, icmp_type=ICMP_ROUTER_ID)
+
     def _start(self, table, target, num, out_port, gap_us, first_ttl,
-               probes_per_ttl, payload=b""):
+               probes_per_ttl, payload=b"", icmp_type=ICMP_ECHO_REQUEST):
         """Allocate an id and begin a task.  Probes flow only after a
         fresh control-channel RTT sample.  A bad target raises
         wire.UnencodableMessage before any id is taken."""
@@ -300,7 +310,7 @@ class MeasurementEngine:
             first_ttl=first_ttl, probes_per_ttl=probes_per_ttl,
             out_port=self.settings.out_port if out_port is None else out_port,
             gap_us=self.settings.probe_gap_us if gap_us is None else gap_us,
-            payload=payload)
+            payload=payload, icmp_type=icmp_type)
         table[task.icmp_id] = task
         if task.out_port not in self._primed_ports:
             self._prime_port(session, task.out_port)
@@ -352,7 +362,7 @@ class MeasurementEngine:
     def _emit(self, task):
         template = frames.echo_request_template(
             self._src_ip, wire.ip_to_bytes(task.target), self._src_mac,
-            self._next_hop_mac, task.icmp_id, task.payload)
+            self._next_hop_mac, task.icmp_id, task.payload, task.icmp_type)
         for seq in range(task.num):
             if task.gap_us:
                 self.loop.call_later(seq * task.gap_us,
@@ -427,9 +437,14 @@ class MeasurementEngine:
         elif reply.kind == ReplyKind.TIME_EXCEEDED:
             self._route_time_exceeded(reply, t_in)
         elif reply.kind == ReplyKind.ROUTER_ID_REPLY:
-            self._route_router_id_reply(reply)
+            self._route_router_id_reply(reply, t_in)
+        elif (reply.kind == ReplyKind.ROUTER_ID_QUERY and self.router_id_serve
+              and self.router_identity is not None and self.session_active()):
+            self._session.send_probe(in_port, frames.build_router_id_reply(
+                frame, self.router_identity, reply.view))
+            self.counters["router_id_served"] += 1
         else:
-            self._handle_other(frame, in_port)
+            self.counters["other_frames"] += 1
 
     def _route_echo_reply(self, reply, t_in):
         task = self.pings.get(reply.icmp_id)
@@ -474,31 +489,17 @@ class MeasurementEngine:
             self._stop_expiry()
         return True
 
-    def _route_router_id_reply(self, reply):
-        entry = self._pending_rid_queries.pop(reply.icmp_id, None)
-        if entry is None:
+    def _route_router_id_reply(self, reply, t_in):
+        """An identity that does not decode leaves its record to expire."""
+        task = self.router_id_queries.get(reply.icmp_id)
+        if task is None:
             self.counters["unknown_replies"] += 1
             return
-        fut, timer = entry
-        timer.cancel()
-        self.allocator.release(reply.icmp_id)
         identity = frames.decode_router_identity(reply.payload)
         if identity is None:
-            fut.set_exception(frames.MalformedFrame("undecodable identity"))
-        else:
-            fut.set_result(identity)
-
-    def _handle_other(self, frame, in_port):
-        if self.router_id_serve and self.router_identity is not None \
-                and self.session_active():
-            view = frames.parse_router_id_query(frame)
-            if view is not None:
-                reply = frames.build_router_id_reply(
-                    frame, self.router_identity, view)
-                self._session.send_probe(in_port, reply)
-                self.counters["router_id_served"] += 1
-                return
-        self.counters["other_frames"] += 1
+            self.counters["malformed_frames"] += 1
+        elif self._fill_record(task, reply, t_in):
+            task.identity = identity
 
     # -- router identity -----------------------------------------------------------
 
@@ -506,34 +507,24 @@ class MeasurementEngine:
         self.router_id_serve = serve
         self.router_identity = identity
 
-    def start_router_id_query(self, target, out_port=None,
-                              timeout_us=2_000_000):
-        """Ask a remote host for its identity.  The future resolves with a
-        RouterIdentity or fails with TimeoutError."""
-        wire.ip_to_bytes(target)
-        session = self._require_session()
-        icmp_id = self.allocator.allocate()
-        frame = frames.build_router_id_query(
-            self.settings.src_ip, target, self.settings.src_mac,
-            self.settings.next_hop_mac, icmp_id=icmp_id)
-        fut = Future()
-        timer = self.loop.call_later(timeout_us, self._expire_rid_query, icmp_id)
-        self._pending_rid_queries[icmp_id] = (fut, timer)
-        session.send_probe(self.settings.out_port if out_port is None
-                           else out_port, frame)
-        return fut
-
-    def _expire_rid_query(self, icmp_id):
-        entry = self._pending_rid_queries.pop(icmp_id, None)
-        if entry is not None:
-            self.allocator.release(icmp_id)
-            entry[0].set_exception(TimeoutError("identity query unanswered"))
-
     # -- dumps and clears -------------------------------------------------------------
 
     def dump_ping(self):
+        return self._dump_probes(self.pings)
+
+    def dump_router_id_query(self):
+        """Ping's row plus asn and ident, both null until answered."""
+        out = self._dump_probes(self.router_id_queries)
+        for icmp_id, task in self.router_id_queries.items():
+            row = out[str(icmp_id)]
+            row["asn"] = task.identity and task.identity.asn
+            row["ident"] = task.identity and task.identity.ident
+        return out
+
+    @staticmethod
+    def _dump_probes(table):
         out = {}
-        for icmp_id, task in self.pings.items():
+        for icmp_id, task in table.items():
             probes = []
             for seq in sorted(task.records):
                 r = task.records[seq]
@@ -578,6 +569,9 @@ class MeasurementEngine:
 
     def clear_traceroute(self):
         return self._clear_tasks(self.traceroutes)
+
+    def clear_router_id_query(self):
+        return self._clear_tasks(self.router_id_queries)
 
     def _clear_tasks(self, table):
         """Drop every task in the table and free its id; returns how many

@@ -7,17 +7,18 @@ addresses dotted quads at this module's surface, except in an Echo Request
 template, whose caller converts its addresses once.  Replies built from a
 received frame copy its raw address bytes and never convert them.
 
-A received frame is parsed once, into an ICMP view: parse_reply,
-parse_router_id_query and parse_icmp all read that one parse, and the reply
-builders accept it.  internet_checksum reads its buffer as one big-endian
-integer: as 2**16 is 1 modulo 0xFFFF, that integer modulo 0xFFFF is the
-ones'-complement sum of its words (a nonzero multiple of 0xFFFF folds to
-0xFFFF).
+A received frame is parsed once, into an ICMP view: parse_reply and
+parse_icmp read that one parse, and the reply builders accept it (an
+identity query comes back from parse_reply with its view).
+internet_checksum reads its buffer as one big-endian integer: as 2**16 is
+1 modulo 0xFFFF, that integer modulo 0xFFFF is the ones'-complement sum of
+its words (a nonzero multiple of 0xFFFF folds to 0xFFFF).
 
-Echo Requests are built from a per-task template: the Ethernet header, the
-addresses and the ones-complement sums of every IPv4 and ICMP word except
-the TTL and the sequence number are computed once, and each probe only
-adds those two words to the sums (RFC 1071 section 2, RFC 1624).
+Probes, Echo Requests or identity queries in the same layout, are built
+from a per-task template: the Ethernet header, the addresses and the
+ones-complement sums of every IPv4 and ICMP word except the TTL and the
+sequence number are computed once, and each probe only adds those two
+words to the sums (RFC 1071 section 2, RFC 1624).
 """
 
 import struct
@@ -69,6 +70,7 @@ class ReplyKind(Enum):
     ECHO_REPLY = "echo_reply"
     TIME_EXCEEDED = "time_exceeded"
     ROUTER_ID_REPLY = "router_id_reply"
+    ROUTER_ID_QUERY = "router_id_query"
     OTHER = "other"
 
 
@@ -91,6 +93,7 @@ class ParsedReply:
     icmp_id: int = 0
     icmp_seq: int = 0
     payload: bytes = b""
+    view: tuple = None  # an identity query's ICMP view, for the reply
 
 
 @dataclass
@@ -143,14 +146,6 @@ def mac_from_bytes(raw):
     return ":".join("%02x" % b for b in raw)
 
 
-def _ipv4_header(src, dst, payload_len, ttl, proto=IP_PROTO_ICMP):
-    """IPv4 header between two raw 4-byte addresses."""
-    total = 20 + payload_len
-    csum = internet_checksum(
-        _IPV4.pack(0x45, 0, total, 0, 0, ttl, proto, 0, src, dst))
-    return _IPV4.pack(0x45, 0, total, 0, 0, ttl, proto, csum, src, dst)
-
-
 def _icmp(icmp_type, code, rest):
     csum = internet_checksum(_ICMP_HEAD.pack(icmp_type, code, 0) + rest)
     return _ICMP_HEAD.pack(icmp_type, code, csum) + rest
@@ -166,10 +161,10 @@ def check_echo_payload(payload):
 
 
 def echo_request_template(src_ip, dst_ip, src_mac, dst_mac, icmp_id,
-                          payload=b""):
-    """Everything the Echo Requests of one task share, for
-    stamp_echo_request.  The addresses are raw bytes, converted once by
-    the caller.  Raises PayloadTooLarge like check_echo_payload."""
+                          payload=b"", icmp_type=ICMP_ECHO_REQUEST):
+    """What one task's probes share, for stamp_echo_request (identity
+    queries with icmp_type ICMP_ROUTER_ID).  The addresses are raw bytes,
+    converted once by the caller.  Raises PayloadTooLarge."""
     check_echo_payload(payload)
     payload = bytes(payload)
     addrs = src_ip + dst_ip
@@ -178,18 +173,18 @@ def echo_request_template(src_ip, dst_ip, src_mac, dst_mac, icmp_id,
     # sums of every word but TTL (the high byte of the TTL/protocol word)
     # and the ICMP sequence number
     ip_sum = _word_sum(ip_front + addrs) + IP_PROTO_ICMP
-    icmp_sum = _word_sum(struct.pack("!BBHH", ICMP_ECHO_REQUEST, 0, 0, icmp_id)
+    icmp_sum = _word_sum(struct.pack("!BBHH", icmp_type, 0, 0, icmp_id)
                          + payload)
-    return head, addrs, ip_sum, icmp_sum, icmp_id, payload
+    return head, addrs, ip_sum, icmp_type, icmp_sum, icmp_id, payload
 
 
 def stamp_echo_request(template, icmp_seq, ttl):
-    """One Echo Request frame from a task's template: only the TTL, the
-    sequence number and the two checksums they enter are new."""
-    head, addrs, ip_sum, icmp_sum, icmp_id, payload = template
+    """One probe frame from a task's template: only the TTL, the sequence
+    number and the two checksums they enter are new."""
+    head, addrs, ip_sum, icmp_type, icmp_sum, icmp_id, payload = template
     return head + _ECHO_STAMP.pack(
         ttl, IP_PROTO_ICMP, _complement(ip_sum + (ttl << 8)), addrs,
-        ICMP_ECHO_REQUEST, 0, _complement(icmp_sum + icmp_seq), icmp_id,
+        icmp_type, 0, _complement(icmp_sum + icmp_seq), icmp_id,
         icmp_seq) + payload
 
 
@@ -212,11 +207,11 @@ def build_gratuitous_arp(ip, mac):
 
 def build_router_id_query(src_ip, dst_ip, src_mac, dst_mac, icmp_id=0,
                           icmp_seq=0, ttl=64):
-    rest = struct.pack("!HH", icmp_id, icmp_seq)
-    icmp = _icmp(ICMP_ROUTER_ID, ROUTER_ID_QUERY, rest)
-    ip = _ipv4_header(ip_to_bytes(src_ip), ip_to_bytes(dst_ip), len(icmp), ttl)
-    return (_ETH.pack(mac_to_bytes(dst_mac), mac_to_bytes(src_mac),
-                      ETH_TYPE_IPV4) + ip + icmp)
+    """An Echo Request's layout, with ICMP type 200 and no payload."""
+    template = echo_request_template(
+        ip_to_bytes(src_ip), ip_to_bytes(dst_ip), mac_to_bytes(src_mac),
+        mac_to_bytes(dst_mac), icmp_id, icmp_type=ICMP_ROUTER_ID)
+    return stamp_echo_request(template, icmp_seq, ttl)
 
 
 def encode_router_identity(identity):
@@ -290,7 +285,8 @@ def parse_reply(frame):
     """Classify a dataplane frame handed up by the switch.
 
     Unknown, non-ICMP and checksum-damaged frames come back as OTHER;
-    frames shorter than their declared headers raise MalformedFrame.
+    frames shorter than their declared headers raise MalformedFrame.  A
+    query carries its ICMP view (see _icmp_view) for build_router_id_reply.
     """
     view = _icmp_view(frame)
     if view is None:
@@ -311,28 +307,21 @@ def parse_reply(frame):
     if icmp_type == ICMP_ROUTER_ID and code == ROUTER_ID_REPLY:
         return ParsedReply(ReplyKind.ROUTER_ID_REPLY, ip_from_bytes(src_ip),
                            ident, seq, icmp[8:])
+    if icmp_type == ICMP_ROUTER_ID and code == ROUTER_ID_QUERY:
+        return ParsedReply(ReplyKind.ROUTER_ID_QUERY, view=view)
     return ParsedReply(ReplyKind.OTHER)
-
-
-def parse_router_id_query(frame):
-    """The ICMP view of the frame (see _icmp_view) if it is a well-formed
-    identity query, for build_router_id_reply; else None."""
-    view = parse_icmp(frame)
-    if view is None:
-        return None
-    icmp_type, code, _id, _seq, _ttl, _src, _dst, icmp, _ed, _es = view
-    if (icmp_type != ICMP_ROUTER_ID or code != ROUTER_ID_QUERY
-            or internet_checksum(icmp) != 0):
-        return None
-    return view
 
 
 def _reply_to(view, src_ip, icmp, ttl):
     """Frame carrying icmp back to the sender of a viewed frame, from
     src_ip (raw bytes), with the Ethernet addresses swapped."""
     _t, _c, _i, _s, _ttl, sender_ip, _dst, _msg, eth_dst, eth_src = view
+    total = 20 + len(icmp)
+    csum = internet_checksum(_IPV4.pack(0x45, 0, total, 0, 0, ttl,
+                                        IP_PROTO_ICMP, 0, src_ip, sender_ip))
     return (_ETH.pack(eth_src, eth_dst, ETH_TYPE_IPV4)
-            + _ipv4_header(src_ip, sender_ip, len(icmp), ttl) + icmp)
+            + _IPV4.pack(0x45, 0, total, 0, 0, ttl, IP_PROTO_ICMP, csum,
+                         src_ip, sender_ip) + icmp)
 
 
 # The reply builders take the ICMP view of the frame they answer when the

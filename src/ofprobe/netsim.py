@@ -442,7 +442,15 @@ class SimSwitch:
     # -- control channel ---------------------------------------------------
 
     def _on_segment(self, segment):
-        messages = self._framer.feed(segment)
+        if not segment:  # the controller hung up
+            self._conn.close()
+            return
+        try:
+            messages = self._framer.feed(segment)
+        except wire.BadVersion as exc:
+            log.warning("closing the controller connection: %s", exc)
+            self._conn.close()
+            return
         n_packet_out = sum(1 for m in messages
                            if m.msg_type == wire.OFPT_PACKET_OUT)
         for msg in messages:

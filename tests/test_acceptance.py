@@ -268,9 +268,10 @@ def test_criterion_08_router_identity_round_trip():
     topo.router_id_hosts["203.0.113.5"] = netsim.RouterIdHost(
         frames.RouterIdentity(65001, "core-rtr-1"), rtt_us=9000)
     stack = VirtualStack(topo)
-    fut = stack.engine.start_router_id_query("203.0.113.5")
+    icmp_id = stack.engine.start_router_id_query("203.0.113.5")
     stack.run()
-    identity = fut.result()
+    row = stack.engine.dump_router_id_query()[str(icmp_id)]
+    identity = frames.RouterIdentity(row["asn"], row["ident"])
     query_ok = identity == frames.RouterIdentity(65001, "core-rtr-1")
     # serving disabled: a query frame in through PacketIn gets no PacketOut
     quiet = VirtualStack(make_topology())

@@ -208,6 +208,9 @@ def test_disallowed_task_kinds_are_403():
     assert app.dispatch(
         "PUT", "/traceroute",
         json.dumps({"tgt": "192.0.2.1"}).encode())[0] == 403
+    assert app.dispatch(
+        "PUT", "/router_id_query",
+        json.dumps({"tgt": "192.0.2.1"}).encode())[0] == 403
 
 
 def test_probe_budget_exhaustion_is_429_until_refill():
@@ -278,6 +281,7 @@ def test_switch_disconnect_ends_the_task_and_refuses_new_ones():
      "out_port must be"),
     ("/traceroute", {"tgt": "192.0.2.1", "probes_per_ttl": 0, "gap_us": -1},
      "probes_per_ttl must be"),
+    ("/router_id_query", {"tgt": "192.0.2", "out_port": -1}, "tgt must be"),
 ])
 def test_first_bad_field_is_the_one_reported(path, body, error):
     _stack, app = make_app(PolicyConfig(allowed_tasks=frozenset()))
@@ -288,6 +292,7 @@ def test_first_bad_field_is_the_one_reported(path, body, error):
 @pytest.mark.parametrize("path, body", [
     ("/ping", PING_BODY),
     ("/traceroute", json.dumps({"tgt": "192.0.2.1"}).encode()),
+    ("/router_id_query", json.dumps({"tgt": "192.0.2.1"}).encode()),
 ])
 def test_refused_tasks_spend_no_budget(path, body):
     engine = MeasurementEngine(EventLoop(), ProbeSettings())
@@ -302,6 +307,33 @@ def test_refused_tasks_spend_no_budget(path, body):
     tokens = app.bucket._tokens
     assert app.dispatch("PUT", path, body)[1]["code"] == "state_full"
     assert app.bucket._tokens == tokens
+
+
+# -- router identity -----------------------------------------------------------------
+
+
+def test_router_id_query_route_round_trip():
+    topo = make_topology()
+    topo.router_id_hosts["203.0.113.5"] = netsim.RouterIdHost(
+        frames.RouterIdentity(65001, "core-rtr-1"), rtt_us=9000)
+    stack, app = make_app(PolicyConfig(max_probe_rate=1.0), topo)
+    body = json.dumps({"tgt": "203.0.113.5", "out_port": 1}).encode()
+    status, payload = app.dispatch("PUT", "/router_id_query", body)
+    assert status == 200
+    assert app.dispatch("PUT", "/router_id_query", body)[0] == 429  # 1 token
+    stack.run()
+    status, dump = app.dispatch("GET", "/router_id_query/dump")
+    assert status == 200
+    row = dump[str(payload["icmp_id"])]
+    assert set(row) == {"tgt", "rtt_cs_us", "probes", "asn", "ident"}
+    assert (row["tgt"], row["asn"], row["ident"]) \
+        == ("203.0.113.5", 65001, "core-rtr-1")
+    assert row["probes"][0][2] == "203.0.113.5"
+    assert stack.engine.allocator.in_use == 1
+    assert app.dispatch("POST", "/router_id_query/clear") \
+        == (200, {"cleared": 1})
+    assert stack.engine.allocator.in_use == 0
+    assert app.dispatch("GET", "/router_id_query/dump") == (200, {})
 
 
 # -- router identity config -----------------------------------------------------------

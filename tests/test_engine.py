@@ -465,19 +465,136 @@ def test_router_id_query_round_trip():
     topo.router_id_hosts["203.0.113.5"] = netsim.RouterIdHost(
         frames.RouterIdentity(65001, "core-rtr-1"), rtt_us=9000)
     stack = VirtualStack(topo)
-    fut = stack.engine.start_router_id_query("203.0.113.5")
+    icmp_id = stack.engine.start_router_id_query("203.0.113.5")
     stack.loop.run_until_idle()
-    assert fut.result() == frames.RouterIdentity(65001, "core-rtr-1")
+    row = stack.engine.dump_router_id_query()[str(icmp_id)]
+    assert frames.RouterIdentity(row["asn"], row["ident"]) \
+        == frames.RouterIdentity(65001, "core-rtr-1")
+    assert row["tgt"] == "203.0.113.5"
+    [(t_out, t_in, responder)] = row["probes"]
+    assert responder == "203.0.113.5"
+    # host 9 ms plus 2.5 ms of switch processing, control channel removed
+    assert corrected_rtt(t_out, t_in, row["rtt_cs_us"]) == 11_500
+    # the id is held until a clear, as for every task kind
+    assert stack.engine.allocator.in_use == 1
+    assert stack.engine.clear_router_id_query() == 1
     assert stack.engine.allocator.in_use == 0
 
 
 def test_router_id_query_timeout_frees_the_id():
     stack = VirtualStack(make_topology())
-    fut = stack.engine.start_router_id_query("203.0.113.99")
+    icmp_id = stack.engine.start_router_id_query("203.0.113.99")
     stack.loop.run_until_idle()
-    with pytest.raises(TimeoutError):
-        fut.result()
+    task = stack.engine.router_id_queries[icmp_id]
+    assert task.done and task.records[0].expired
+    t_out = task.records[0].t_out
+    assert stack.loop.now_us() == t_out + ProbeSettings().probe_timeout_us
+    row = stack.engine.dump_router_id_query()[str(icmp_id)]
+    assert row["probes"] == [[t_out, None, None]]
+    assert row["asn"] is None and row["ident"] is None
+    assert stack.engine.allocator.in_use == 1
+    assert stack.engine.clear_router_id_query() == 1
     assert stack.engine.allocator.in_use == 0
+    assert stack.engine.dump_router_id_query() == {}
+
+
+def test_undecodable_identity_is_malformed_and_expires(monkeypatch):
+    topo = make_topology()
+    topo.router_id_hosts["203.0.113.5"] = netsim.RouterIdHost(
+        frames.RouterIdentity(65001, "core-rtr-1"), rtt_us=9000)
+    stack = VirtualStack(topo)
+    # the simulated host answers with an identity that does not decode
+    monkeypatch.setattr(frames, "encode_router_identity",
+                        lambda identity: b"\x00\x00\x00\x01\x05abc")
+    icmp_id = stack.engine.start_router_id_query("203.0.113.5")
+    stack.loop.run_until_idle()
+    assert stack.engine.counters["malformed_frames"] == 1
+    assert stack.engine.counters["unknown_replies"] == 0
+    task = stack.engine.router_id_queries[icmp_id]
+    assert task.done and task.records[0].expired
+    row = stack.engine.dump_router_id_query()[str(icmp_id)]
+    assert row["asn"] is None and row["probes"][0][1] is None
+
+
+def test_identity_queries_end_answered_or_expired_exactly_once():
+    """Queries to answering, silent and lossy hosts, one batch cleared in
+    flight: every record ends answered or expired, never both, and those
+    plus the records cleared in flight are the switch's query PacketOuts."""
+    topo = make_topology()
+    answering = ["203.0.113.%d" % i for i in range(1, 5)]
+    lossy = ["203.0.113.%d" % i for i in range(11, 15)]
+    silent = ["203.0.113.%d" % i for i in range(21, 25)]
+    identities = {}
+    for i, ip in enumerate(answering + lossy):
+        identities[ip] = frames.RouterIdentity(65000 + i, "rtr-%d" % i)
+        topo.router_id_hosts[ip] = netsim.RouterIdHost(identities[ip],
+                                                       rtt_us=9000)
+    stack = VirtualStack(topo)
+    engine = stack.engine
+    lossy_replies = []
+    receive = stack.switch.receive_dataplane
+
+    def lose_every_other_lossy_reply(frame, port):
+        if wire.ip_from_bytes(frames.parse_icmp(frame)[5]) in lossy:
+            lossy_replies.append(frame)
+            if len(lossy_replies) % 2:
+                return
+        receive(frame, port)
+
+    stack.switch.receive_dataplane = lose_every_other_lossy_reply
+    targets = answering + lossy + silent
+    for ip in targets:
+        engine.start_router_id_query(ip)
+    stack.loop.run_for(20_000)  # queries out, no reply back yet
+    in_flight = sum(len(t.records) for t in engine.router_id_queries.values())
+    assert in_flight == len(targets)
+    assert engine.clear_router_id_query() == len(targets)
+    for _round in range(2):
+        for ip in targets:
+            engine.start_router_id_query(ip)
+    stack.loop.run_until_idle()
+
+    answered = expired = 0
+    dump = engine.dump_router_id_query()
+    for icmp_id, task in engine.router_id_queries.items():
+        [record] = task.records.values()
+        assert (record.t_in is not None) != record.expired
+        answered += record.t_in is not None
+        expired += record.expired
+        row = dump[str(icmp_id)]
+        identity = (identities.get(task.target)
+                    if record.t_in is not None else None)
+        assert (row["asn"], row["ident"]) == (
+            (identity.asn, identity.ident) if identity else (None, None))
+    assert answered == 2 * len(answering) + len(lossy)
+    assert expired == 2 * len(silent) + len(lossy)
+    queries = [f for _t, _p, f in stack.switch.emitted
+               if frames.match_fields(f).get("icmpv4_type")
+               == frames.ICMP_ROUTER_ID]
+    assert answered + expired + in_flight == len(queries)
+    # the cleared batch's answers arrive for ids nobody holds
+    assert engine.counters["unknown_replies"] \
+        == len(answering) + len(lossy) // 2
+    assert engine.counters["duplicate_replies"] == 0
+    assert engine.counters["late_replies"] == 0
+    assert engine.clear_router_id_query() == 2 * len(targets)
+    assert engine.allocator.in_use == 0
+
+
+def test_served_query_is_parsed_once(monkeypatch):
+    stack = VirtualStack(make_topology())
+    stack.engine.set_router_config(True,
+                                   frames.RouterIdentity(64512, "vantage-1"))
+    query = frames.build_router_id_query(
+        src_ip="198.51.100.7", dst_ip="10.0.0.100",
+        src_mac="02:aa:aa:aa:aa:01", dst_mac="02:00:00:00:00:64", icmp_id=9)
+    parsed = []
+    icmp_view = frames._icmp_view
+    monkeypatch.setattr(frames, "_icmp_view",
+                        lambda frame: parsed.append(frame) or icmp_view(frame))
+    stack.engine._on_packet_in(query, stack.loop.now_us(), 1)
+    assert parsed == [query]
+    assert stack.engine.counters["router_id_served"] == 1
 
 
 def test_router_id_serving_when_enabled():

@@ -285,7 +285,9 @@ def test_identity_query_reply_exchange():
         src_ip="10.0.0.100", dst_ip="203.0.113.5",
         src_mac="02:00:00:00:00:64", dst_mac="02:00:00:00:00:01",
         icmp_id=41, icmp_seq=2)
-    view = frames.parse_router_id_query(query)
+    parsed = frames.parse_reply(query)
+    assert parsed.kind == ReplyKind.ROUTER_ID_QUERY
+    view = parsed.view
     assert view[2:4] == (41, 2)  # icmp_id, icmp_seq
     assert ip_from_bytes(view[5]) == "10.0.0.100"  # the querier
 
@@ -297,9 +299,33 @@ def test_identity_query_reply_exchange():
     assert parsed.icmp_id == 41
     assert parsed.icmp_seq == 2
     assert parsed.payload == RID_PAYLOAD_FIXTURE
-    # an echo request is not a query
-    assert frames.parse_router_id_query(
-        frames.build_echo_request(PROBE)) is None
+    # an echo request or a damaged query is not a query
+    assert frames.parse_reply(
+        frames.build_echo_request(PROBE)).kind == ReplyKind.OTHER
+    damaged = bytearray(query)
+    damaged[-1] ^= 0xFF
+    assert frames.parse_reply(bytes(damaged)).kind == ReplyKind.OTHER
+
+
+@given(src=st.tuples(*[st.integers(0, 255)] * 4),
+       dst=st.tuples(*[st.integers(0, 255)] * 4),
+       src_mac=st.binary(min_size=6, max_size=6),
+       dst_mac=st.binary(min_size=6, max_size=6),
+       icmp_id=st.integers(0, 0xFFFF), seq=st.integers(0, 0xFFFF),
+       ttl=st.integers(0, 255))
+def test_identity_query_matches_a_field_by_field_assembly(
+        src, dst, src_mac, dst_mac, icmp_id, seq, ttl):
+    src_ip, dst_ip = bytes(src), bytes(dst)
+    icmp = struct.pack("!BBHHH", 200, 0, 0, icmp_id, seq)
+    icmp = icmp[:2] + struct.pack("!H", internet_checksum(icmp)) + icmp[4:]
+    ip = struct.pack("!BBHHHBBH4s4s", 0x45, 0, 28, 0, 0, ttl, 1, 0,
+                     src_ip, dst_ip)
+    ip = ip[:10] + struct.pack("!H", internet_checksum(ip)) + ip[12:]
+    expected = dst_mac + src_mac + b"\x08\x00" + ip + icmp
+    assert frames.build_router_id_query(
+        socket.inet_ntoa(src_ip), socket.inet_ntoa(dst_ip),
+        frames.mac_from_bytes(src_mac), frames.mac_from_bytes(dst_mac),
+        icmp_id, seq, ttl) == expected
 
 
 # -- reply builders given the caller's view ----------------------------------

@@ -310,6 +310,24 @@ def test_switch_answers_handshake():
     assert reply.xid == 2
 
 
+def test_foreign_openflow_version_closes_the_connection():
+    h = SwitchHarness(make_topology())
+    h.conn.send(bytes.fromhex("0100000800000001"))  # an OpenFlow 1.0 HELLO
+    h.loop.run_until_idle()
+    assert h.switch._conn.closed
+    received = len(h.received)
+    h.send(wire.echo_request(7))
+    h.loop.run_until_idle()
+    assert len(h.received) == received
+
+
+def test_controller_hang_up_closes_the_switch_end():
+    h = SwitchHarness(make_topology())
+    h.conn.close()
+    h.loop.run_until_idle()
+    assert h.switch._conn.closed
+
+
 def test_switch_echo_reply_mirrors_payload():
     h = SwitchHarness(make_topology())
     h.send(wire.echo_request(7, b"x" * 12))
