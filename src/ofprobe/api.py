@@ -51,12 +51,14 @@ def render_json(payload):
 
 
 def _is_ipv4(text):
-    if not isinstance(text, str) or text.count(".") != 3:
+    """Dotted decimal that reads back the same: inet_aton alone also takes
+    octal, hex and trailing junk, so the dump would name another string
+    than the address probed."""
+    if not isinstance(text, str):
         return False
     try:
-        socket.inet_aton(text)
-        return True
-    except OSError:
+        return socket.inet_ntoa(socket.inet_aton(text)) == text
+    except (OSError, ValueError):
         return False
 
 

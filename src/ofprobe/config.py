@@ -30,7 +30,8 @@ Sections and defaults:
 
 allowed_tasks names the task kinds the API may start, by the name of their
 route (ping, traceroute, router_id_query), and router_id_serve, which lets
-it turn identity serving on.
+it turn identity serving on.  default_ttl must be in 1..255 and
+max_probes_per_task in 1..65535, the ranges of a probe's TTL and seq.
 """
 
 import configparser
@@ -112,6 +113,9 @@ def parse_config(parser):
         probe.probe_gap_us = sec.getint("probe_gap_us", probe.probe_gap_us)
         probe.max_probes_per_task = sec.getint("max_probes_per_task",
                                                probe.max_probes_per_task)
+    for key, top in (("default_ttl", 255), ("max_probes_per_task", 65535)):
+        if not 1 <= getattr(probe, key) <= top:
+            raise ConfigError("probe.%s must be in 1..%d" % (key, top))
     cfg.probe = probe
     policy_kwargs = {}
     if parser.has_section("policy"):

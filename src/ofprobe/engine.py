@@ -43,6 +43,12 @@ cancelled and the FIFO emptied, so a drained loop's clock stops at the last
 reply.  Records never point back at their task, so a clear frees its tasks
 by reference counting alone.
 
+A task is settled once emission has finished and no record is open: its
+dump row can no longer change, as replies fill only open records and rtt_cs
+stops moving once the task is done.  The first dump that sees a task
+settled keeps its row on the task for every later dump to reuse.  Dumps
+share rows, so none is written once built: the API renders it off the loop.
+
 A task's probe template (Ethernet header, addresses, payload and
 partial checksums) is built once when its probes start and handed along
 with each emission, so a probe only stamps its seq and TTL.
@@ -173,6 +179,7 @@ class ProbeTask:
     emitted_all: bool = False
     cleared: bool = False
     identity: frames.RouterIdentity = None  # an identity query's answer
+    row: dict = None          # dump row, kept once the task is settled
 
     def ttl(self, seq):
         return self.first_ttl + seq // self.probes_per_ttl
@@ -510,59 +517,65 @@ class MeasurementEngine:
     # -- dumps and clears -------------------------------------------------------------
 
     def dump_ping(self):
-        return self._dump_probes(self.pings)
+        return self._dump(self.pings, self._ping_row)
+
+    def dump_traceroute(self):
+        return self._dump(self.traceroutes, self._traceroute_row)
 
     def dump_router_id_query(self):
-        """Ping's row plus asn and ident, both null until answered."""
-        out = self._dump_probes(self.router_id_queries)
-        for icmp_id, task in self.router_id_queries.items():
-            row = out[str(icmp_id)]
-            row["asn"] = task.identity and task.identity.asn
-            row["ident"] = task.identity and task.identity.ident
+        return self._dump(self.router_id_queries, self._router_id_row)
+
+    @staticmethod
+    def _dump(table, build_row):
+        """One row per task; a settled task's row is built once and kept."""
+        out = {}
+        for icmp_id, task in table.items():
+            row = task.row
+            if row is None:
+                row = build_row(task)
+                if task.emitted_all and not task.open:
+                    task.row = row
+            out[str(icmp_id)] = row
         return out
 
     @staticmethod
-    def _dump_probes(table):
-        out = {}
-        for icmp_id, task in table.items():
-            probes = []
-            for seq in sorted(task.records):
-                r = task.records[seq]
-                probes.append([r.t_out, r.t_in, r.responder])
-            out[str(icmp_id)] = {
-                "tgt": task.target,
-                "rtt_cs_us": task.rtt_cs_us,
-                "probes": probes,
-            }
-        return out
+    def _ping_row(task):
+        records = task.records
+        probes = []
+        for seq in sorted(records):
+            r = records[seq]
+            probes.append([r.t_out, r.t_in, r.responder])
+        return {"tgt": task.target, "rtt_cs_us": task.rtt_cs_us,
+                "probes": probes}
 
-    def dump_traceroute(self):
-        out = {}
-        for icmp_id, task in self.traceroutes.items():
-            state = (TERMINATED_DESTINATION if task.dest_ttl is not None
-                     else TERMINATED_MAX_TTL if task.done
-                     else TERMINATED_IN_PROGRESS)
-            last_ttl = task.dest_ttl or MAX_TTL
-            hops = {}
-            for ttl in range(1, last_ttl + 1):
-                row = []
-                for idx in range(task.probes_per_ttl):
-                    record = task.records.get((ttl - 1) * task.probes_per_ttl + idx)
-                    if record is None or record.t_in is None:
-                        row.append([None, None])
-                    else:
-                        row.append([record.responder,
-                                    corrected_rtt(record.t_out, record.t_in,
-                                                  task.rtt_cs_us)])
-                hops[str(ttl)] = row
-            out[str(icmp_id)] = {
-                "tgt": task.target,
-                "probes_per_ttl": task.probes_per_ttl,
-                "rtt_cs_us": task.rtt_cs_us,
-                "terminated": state,
-                "hops": hops,
-            }
-        return out
+    @classmethod
+    def _router_id_row(cls, task):
+        """Ping's row plus asn and ident, both null until answered."""
+        identity = task.identity
+        return dict(cls._ping_row(task), asn=identity and identity.asn,
+                    ident=identity and identity.ident)
+
+    @staticmethod
+    def _traceroute_row(task):
+        ppt, records = task.probes_per_ttl, task.records
+        rtt_cs = task.rtt_cs_us
+        hops = {}
+        for ttl in range(1, (task.dest_ttl or MAX_TTL) + 1):
+            cells = hops[str(ttl)] = []
+            for seq in range((ttl - 1) * ppt, ttl * ppt):
+                r = records.get(seq)
+                cells.append([None, None] if r is None or r.t_in is None
+                             else [r.responder,
+                                   corrected_rtt(r.t_out, r.t_in, rtt_cs)])
+        return {
+            "tgt": task.target,
+            "probes_per_ttl": ppt,
+            "rtt_cs_us": rtt_cs,
+            "terminated": (TERMINATED_DESTINATION if task.dest_ttl is not None
+                           else TERMINATED_MAX_TTL if task.done
+                           else TERMINATED_IN_PROGRESS),
+            "hops": hops,
+        }
 
     def clear_ping(self):
         return self._clear_tasks(self.pings)

@@ -6,7 +6,9 @@ drawn from the topology's control_link model.  Everything is deterministic
 for a fixed topology seed.
 """
 
+import queue
 import random
+import time
 
 from ofprobe import netsim, transport
 from ofprobe.engine import MeasurementEngine, ProbeSettings
@@ -63,3 +65,17 @@ class VirtualStack:
                                                **kwargs)
         self.loop.run_until_idle()
         return self.engine.dump_traceroute()[str(icmp_id)]
+
+
+def on_loop(loop, fn):
+    """Run fn on a realtime loop's thread and return its result."""
+    answer = queue.Queue()
+    loop.call_threadsafe(lambda: answer.put(fn()))
+    return answer.get(timeout=5)
+
+
+def wait_for(loop, predicate):
+    deadline = time.monotonic() + 10
+    while not on_loop(loop, predicate):
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.02)

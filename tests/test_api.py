@@ -1,16 +1,19 @@
 """Control API: routing, validation, policy, rate limiting, determinism."""
 
+import http.client
 import json
 import threading
+import time
 
 import pytest
 
 from ofprobe import frames, netsim
 from ofprobe.api import ApiApp, ApiHttpServer, TokenBucket, render_json
-from ofprobe.config import PolicyConfig
+from ofprobe.config import ControllerConfig, PolicyConfig
+from ofprobe.controller import Controller
 from ofprobe.engine import ID_SPACE, MeasurementEngine, ProbeSettings
 from ofprobe.eventloop import EventLoop
-from helpers import VirtualStack, make_topology
+from helpers import VirtualStack, make_topology, on_loop, wait_for
 
 
 def make_app(policy=None, topology=None):
@@ -289,6 +292,22 @@ def test_first_bad_field_is_the_one_reported(path, body, error):
     assert status == 400 and payload["error"].startswith(error)
 
 
+@pytest.mark.parametrize("tgt", [
+    "10.0.0.010", "10.0.0.0x10", "10.0.0.8\n", "1.2.3.4 junk"])
+@pytest.mark.parametrize("path", ["/ping", "/traceroute", "/router_id_query"])
+def test_non_canonical_targets_are_400(path, tgt):
+    """inet_aton reads each of these as some address, but the dump would
+    name the text as sent, not the address probed."""
+    stack, app = make_app()
+    tokens = app.bucket._tokens
+    status, payload = app.dispatch("PUT", path,
+                                   json.dumps({"tgt": tgt}).encode())
+    assert (status, payload) == (400, {"error": "tgt must be a dotted IPv4 "
+                                                "address"})
+    assert app.bucket._tokens == tokens
+    assert stack.engine.allocator.in_use == 0
+
+
 @pytest.mark.parametrize("path, body", [
     ("/ping", PING_BODY),
     ("/traceroute", json.dumps({"tgt": "192.0.2.1"}).encode()),
@@ -405,3 +424,83 @@ def test_foreign_thread_gets_the_dispatch_result_from_the_loop():
         runner.join(timeout=5)
         server.stop()
         loop.close()
+
+
+def test_dumps_pulled_over_http_during_pings_end_at_the_final_dump():
+    """Kept rows reach the HTTP thread, which renders them after the loop
+    has moved on: a second thread pulls GET /ping/dump while pings run,
+    every body parses, no probe ever disappears from a later body, and the
+    last body, pulled once every task is done, is the engine's own dump."""
+    topo = netsim.parse_topology(
+        "simtopo v1\ndpid 0x1\nports 1\nseed 5\n"
+        "target 192.0.2.1 rtt 2ms\n")
+    ctrl_loop = EventLoop(realtime=True)
+    ctrl = Controller(ctrl_loop, ControllerConfig(
+        openflow_host="127.0.0.1", openflow_port=0, api_host="127.0.0.1",
+        api_port=0, probe=ProbeSettings(probe_timeout_us=300_000),
+        policy=PolicyConfig(max_probe_rate=1e6)))
+    ctrl.start()
+    ctrl_thread = threading.Thread(target=ctrl_loop.run_forever, daemon=True)
+    ctrl_thread.start()
+    sw_loop = EventLoop(realtime=True)
+    switch = netsim.run_sim_switch(
+        sw_loop, topo, controller="127.0.0.1:%d" % ctrl.openflow_port)
+    sw_thread = threading.Thread(target=sw_loop.run_forever, daemon=True)
+    sw_thread.start()
+    engine = ctrl.engine
+    bodies = []
+    stop = threading.Event()
+
+    def pull():
+        conn = http.client.HTTPConnection("127.0.0.1", ctrl.api_port,
+                                          timeout=5)
+        try:
+            while True:
+                last = stop.is_set()
+                conn.request("GET", "/ping/dump")
+                bodies.append(conn.getresponse().read())
+                if last:
+                    return
+        finally:
+            conn.close()
+
+    puller = threading.Thread(target=pull, daemon=True)
+    put = http.client.HTTPConnection("127.0.0.1", ctrl.api_port, timeout=5)
+    try:
+        wait_for(ctrl_loop, engine.session_active)
+        puller.start()
+        for i in range(20):
+            put.request("PUT", "/ping", json.dumps(
+                {"tgt": "192.0.2.1", "num": 1 + i % 4,
+                 "gap_us": 15_000 * (i % 2)}).encode())
+            response = put.getresponse()
+            response.read()
+            assert response.status == 200
+            time.sleep(0.005)
+        wait_for(ctrl_loop, lambda: all(
+            task.done for task in engine.pings.values()))
+        stop.set()
+        puller.join(timeout=5)
+        assert not puller.is_alive()
+        final = on_loop(ctrl_loop, lambda: render_json(engine.dump_ping()))
+    finally:
+        put.close()
+        stop.set()
+        if puller.is_alive():
+            puller.join(timeout=5)
+        ctrl_loop.call_threadsafe(ctrl.shutdown)
+        ctrl_loop.call_threadsafe(ctrl_loop.stop)
+        sw_loop.call_threadsafe(switch.close)
+        sw_loop.call_threadsafe(sw_loop.stop)
+        ctrl_thread.join(timeout=5)
+        sw_thread.join(timeout=5)
+        ctrl_loop.close()
+        sw_loop.close()
+    dumps = [json.loads(body) for body in bodies]
+    assert len(dumps) >= 5
+    for earlier, later in zip(dumps, dumps[1:]):
+        for icmp_id, row in earlier.items():
+            assert len(later[icmp_id]["probes"]) >= len(row["probes"])
+    assert dumps[-1] == json.loads(final)
+    assert all(t_in is not None for row in dumps[-1].values()
+               for _t_out, t_in, _r in row["probes"])

@@ -93,6 +93,25 @@ def test_nonpositive_rate_is_rejected():
         PolicyConfig(max_probe_rate=-3)
 
 
+@pytest.mark.parametrize("line", [
+    "max_probes_per_task = 0", "max_probes_per_task = 65536",
+    "max_probes_per_task = 70000", "default_ttl = 0", "default_ttl = 256",
+])
+def test_probe_fields_outside_their_wire_range_are_rejected(line):
+    """A probe's seq is 16 bits and its TTL 8: past them a probe would
+    fail to encode on the loop instead of at start-up."""
+    with pytest.raises(ConfigError):
+        parse("[probe]\n%s\n" % line)
+
+
+def test_probe_fields_at_their_wire_limits_are_kept():
+    cfg = parse("[probe]\nmax_probes_per_task = 65535\ndefault_ttl = 255\n")
+    assert (cfg.probe.max_probes_per_task, cfg.probe.default_ttl) \
+        == (65535, 255)
+    cfg = parse("[probe]\nmax_probes_per_task = 1\ndefault_ttl = 1\n")
+    assert (cfg.probe.max_probes_per_task, cfg.probe.default_ttl) == (1, 1)
+
+
 def test_serve_without_identity_is_rejected():
     with pytest.raises(ConfigError):
         parse("[router_id]\nserve = true\n")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ofprobe import frames, netsim, wire
+from ofprobe.api import render_json
 from ofprobe.engine import (
     ID_SPACE,
     IdAllocator,
@@ -882,3 +883,142 @@ def test_rtt_cs_is_final_once_the_task_is_done():
     assert engine.pings[icmp_id].done
     session.pending[0].set_result(90_000)  # echo outlived the probes
     assert engine.dump_ping()[str(icmp_id)]["rtt_cs_us"] == 4000.0
+
+
+# -- settled dump rows ----------------------------------------------------------------
+
+
+def answer(session, n, router_ip=None):
+    """Feed back the reply to the n-th probe the fake session sent, over
+    every task: an Echo Reply, or a Time Exceeded from router_ip."""
+    _port, frame = session.probes[1 + n]  # probes[0] is the ARP
+    reply = (frames.build_echo_reply(frame) if router_ip is None
+             else frames.build_time_exceeded(router_ip, frame))
+    session.packet_in_handler(reply, session.loop.now_us(), 1)
+
+
+def fake_engine(echo_results=(4000,)):
+    loop = EventLoop()
+    engine = MeasurementEngine(loop, ProbeSettings())
+    session = FakeSession(loop, echo_results)
+    engine.attach_session(session)
+    return loop, engine, session
+
+
+def test_settled_row_is_built_once_and_an_open_one_every_dump():
+    loop, engine, session = fake_engine([4000, 4000])
+    settled = engine.start_ping("192.0.2.1", 1)
+    open_id = engine.start_ping("192.0.2.1", 2)
+    loop.run_for(1000)
+    answer(session, 0)  # settled's only probe
+    answer(session, 1)  # open_id's seq 0; its seq 1 stays open
+    first, second = engine.dump_ping(), engine.dump_ping()
+    assert first[str(settled)] is second[str(settled)]
+    assert first[str(open_id)] is not second[str(open_id)]
+    assert first[str(open_id)] == second[str(open_id)]
+    answer(session, 2)
+    third, fourth = engine.dump_ping(), engine.dump_ping()
+    assert third[str(open_id)]["probes"][1][1] == loop.now_us()
+    assert third[str(open_id)] is fourth[str(open_id)]
+    assert third[str(settled)] is first[str(settled)]
+
+
+def test_spaced_ping_dumped_mid_flight_moves_in_the_next_dump():
+    loop, engine, session = fake_engine([4000, 6000, 8000, 10_000])
+    icmp_id = str(engine.start_ping("192.0.2.1", 4, gap_us=1000))
+    loop.run_for(1500)
+    mid = engine.dump_ping()[icmp_id]
+    assert (len(mid["probes"]), mid["rtt_cs_us"]) == (2, 5000.0)
+    loop.run_for(2000)
+    later = engine.dump_ping()[icmp_id]
+    assert (len(later["probes"]), later["rtt_cs_us"]) == (4, 7000.0)
+    assert mid["probes"] == later["probes"][:2]  # the old row is untouched
+    for seq in range(4):
+        answer(session, seq)
+    done = engine.dump_ping()[icmp_id]
+    assert all(t_in is not None for _t_out, t_in, _r in done["probes"])
+    assert engine.pings[int(icmp_id)].row is done
+
+
+def test_traceroute_at_its_destination_with_a_lower_ttl_open_is_not_kept():
+    """Done is not settled: the destination answered at TTL 3 while TTL 1
+    is still out, so the row must change when TTL 1's reply lands."""
+    loop, engine, session = fake_engine()
+    icmp_id = engine.start_traceroute("192.0.2.9")
+    loop.run_for(1000)
+    answer(session, 2)  # TTL 3 reaches the destination
+    task = engine.traceroutes[icmp_id]
+    assert task.done
+    before = engine.dump_traceroute()[str(icmp_id)]
+    assert before["terminated"] == "destination_reached"
+    assert before["hops"]["1"] == [[None, None]]
+    assert task.row is None
+    answer(session, 0, router_ip="10.1.0.1")
+    after = engine.dump_traceroute()[str(icmp_id)]
+    assert after["hops"]["1"] == [["10.1.0.1", 0.0]]
+    assert before["hops"]["1"] == [[None, None]]
+    loop.run_until_idle()  # TTL 2 and the probes past TTL 3 expire
+    settled = engine.dump_traceroute()[str(icmp_id)]
+    assert settled == after and task.row is settled
+    assert engine.dump_traceroute()[str(icmp_id)] is settled
+
+
+def test_identity_row_is_complete_when_first_kept():
+    topo = make_topology()
+    topo.router_id_hosts["203.0.113.5"] = netsim.RouterIdHost(
+        frames.RouterIdentity(65001, "core-rtr-1"), rtt_us=9000)
+    stack = VirtualStack(topo)
+    icmp_id = stack.engine.start_router_id_query("203.0.113.5")
+    stack.loop.run_for(5000)  # query out, answer not back yet
+    task = stack.engine.router_id_queries[icmp_id]
+    row = stack.engine.dump_router_id_query()[str(icmp_id)]
+    assert (row["asn"], row["ident"], task.row) == (None, None, None)
+    stack.loop.run_until_idle()
+    row = stack.engine.dump_router_id_query()[str(icmp_id)]
+    assert task.row is row
+    assert (row["asn"], row["ident"]) == (65001, "core-rtr-1")
+    assert row["probes"][0][2] == "203.0.113.5"
+    assert stack.engine.dump_router_id_query()[str(icmp_id)] is row
+
+
+def mixed_topo():
+    topo = trace_topo()
+    topo.targets["192.0.2.1"] = netsim.TargetSpec(base_rtt_us=20_000)
+    topo.targets["192.0.2.2"] = netsim.TargetSpec(base_rtt_us=20_000,
+                                                  responds=False)
+    topo.router_id_hosts["203.0.113.5"] = netsim.RouterIdHost(
+        frames.RouterIdentity(65001, "core-rtr-1"), rtt_us=9000)
+    return topo
+
+
+MIXED_TASKS = {
+    "pings": lambda e: (e.start_ping("192.0.2.1", 3),
+                        e.start_ping("192.0.2.1", 4, gap_us=30_000),
+                        e.start_ping("192.0.2.2", 2)),
+    "traceroutes": lambda e: (e.start_traceroute("192.0.2.9", 2),
+                              e.start_traceroute("192.0.2.9", gap_us=20_000),
+                              e.start_traceroute("192.0.2.66")),
+    "router_id_queries": lambda e: (e.start_router_id_query("203.0.113.5"),
+                                    e.start_router_id_query("203.0.113.99")),
+}
+
+
+@pytest.mark.parametrize("table, dump", [
+    ("pings", "dump_ping"), ("traceroutes", "dump_traceroute"),
+    ("router_id_queries", "dump_router_id_query")])
+def test_dump_renders_as_a_fresh_build(table, dump):
+    stack = VirtualStack(mixed_topo())
+    MIXED_TASKS[table](stack.engine)
+    tasks = getattr(stack.engine, table)
+    dump = getattr(stack.engine, dump)
+    for run_us in (5_000, 30_000, 100_000, 1_000_000, None):
+        if run_us is None:
+            stack.run()
+        else:
+            stack.loop.run_for(run_us)
+        dump()
+        kept = render_json(dump())
+        for task in tasks.values():
+            task.row = None
+        assert kept == render_json(dump())
+    assert all(task.row is not None for task in tasks.values())

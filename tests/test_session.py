@@ -2,9 +2,7 @@
 a switch hanging up on a live controller over TCP."""
 
 import json
-import queue
 import threading
-import time
 
 import pytest
 
@@ -23,6 +21,7 @@ from ofprobe.session import (
     SessionClosed,
     SwitchSession,
 )
+from helpers import on_loop, wait_for
 
 
 class ScriptedPeer:
@@ -327,19 +326,6 @@ def test_close_handler_fires_once():
 
 
 # -- realtime ------------------------------------------------------------------
-
-
-def on_loop(loop, fn):
-    answer = queue.Queue()
-    loop.call_threadsafe(lambda: answer.put(fn()))
-    return answer.get(timeout=5)
-
-
-def wait_for(loop, predicate):
-    deadline = time.monotonic() + 10
-    while not on_loop(loop, predicate):
-        assert time.monotonic() < deadline, "condition never held"
-        time.sleep(0.02)
 
 
 def test_switch_hang_up_over_tcp_keeps_the_controller_loop():
