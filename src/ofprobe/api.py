@@ -13,12 +13,12 @@ when the engine cannot take work (id space exhausted, no switch attached).
 
 import json
 import logging
-import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .engine import MAX_TTL, NoActiveSession, StateFull
 from .frames import MAX_ECHO_PAYLOAD, RouterIdentity
+from .wire import UnencodableMessage, ip_to_bytes
 
 log = logging.getLogger(__name__)
 
@@ -48,18 +48,6 @@ def render_json(payload):
     state always renders to identical bytes."""
     return json.dumps(payload, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
-
-
-def _is_ipv4(text):
-    """Dotted decimal that reads back the same: inet_aton alone also takes
-    octal, hex and trailing junk, so the dump would name another string
-    than the address probed."""
-    if not isinstance(text, str):
-        return False
-    try:
-        return socket.inet_ntoa(socket.inet_aton(text)) == text
-    except (OSError, ValueError):
-        return False
 
 
 class TokenBucket:
@@ -154,10 +142,14 @@ class ApiApp:
         A task the engine refuses (no session, id space full) is charged
         nothing."""
         target = body.get("tgt")
-        if not _is_ipv4(target):
+        try:
+            ip_to_bytes(target)
+        except UnencodableMessage:
             raise _BadRequest("tgt must be a dotted IPv4 address")
         probe_cost, args = getattr(self, "_%s_args" % kind)(body)
         out_port = self._opt_int(body, "out_port")
+        if out_port is not None and out_port > 0xFFFFFFFF:
+            raise _BadRequest("out_port must fit 32 bits")
         gap_us = self._opt_int(body, "gap_us")
         if kind not in self.policy.allowed_tasks:
             return 403, {"error": "%s tasks are not allowed by policy" % kind}

@@ -28,6 +28,8 @@ Sections and defaults:
     asn = 0
     ident =
 
+A value may be followed by " ; comment".  src_ip must be dotted decimal
+that reads back unchanged (10.0.0.100, not 10.0.0.0100).
 allowed_tasks names the task kinds the API may start, by the name of their
 route (ping, traceroute, router_id_query), and router_id_serve, which lets
 it turn identity serving on.  default_ttl must be in 1..255 and
@@ -39,6 +41,7 @@ from dataclasses import dataclass, field
 
 from .engine import ProbeSettings
 from .frames import RouterIdentity
+from .wire import UnencodableMessage, ip_to_bytes
 
 TASK_KINDS = frozenset(
     ("ping", "traceroute", "router_id_query", "router_id_serve"))
@@ -83,7 +86,7 @@ def _host_port(text, default_port):
 
 
 def load_config(path):
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     read = parser.read(path)
     if not read:
         raise ConfigError("cannot read config file %s" % path)
@@ -116,6 +119,10 @@ def parse_config(parser):
     for key, top in (("default_ttl", 255), ("max_probes_per_task", 65535)):
         if not 1 <= getattr(probe, key) <= top:
             raise ConfigError("probe.%s must be in 1..%d" % (key, top))
+    try:
+        ip_to_bytes(probe.src_ip)
+    except UnencodableMessage:
+        raise ConfigError("probe.src_ip must be a dotted IPv4 address")
     cfg.probe = probe
     policy_kwargs = {}
     if parser.has_section("policy"):

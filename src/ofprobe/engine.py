@@ -7,10 +7,13 @@ default TTL; a traceroute is MAX_TTL levels from TTL 1 and stops emitting
 once the destination answers; an identity query is one ICMP type 200 probe
 whose reply also fills the task's identity.  Each kind is a schedule and a
 reply matcher: all share one start, emission path, expiry, clear and done
-rule.  A task is done when its destination answered (traceroutes only) or
-when emission has finished and every record that was sent is answered or
-expired.  Probes skipped because the session went away leave no record,
-so a task whose switch disconnected still ends done.
+rule.  One matcher serves every reply: a table maps the reply's kind to the
+task tables searched by id, each with the filler that fills the record and
+applies the kind's one effect (a traceroute's dest_ttl, a query's
+identity).  A task is done when its destination answered (traceroutes
+only) or when emission has finished and every record that was sent is
+answered or expired.  Probes skipped because the session went away leave
+no record, so a task whose switch disconnected still ends done.
 
 A probe's controller-to-target round trip includes the control channel and
 the switch's processing on both legs.  The engine keeps a smoothed estimate
@@ -18,9 +21,9 @@ of the controller-to-switch round trip, refreshed with an OpenFlow echo at
 the start of every task, and snapshots it when the task's probes start.
 A spaced task (gap_us > 0) also samples the control channel with every
 emission after the first: one echo request rides along with each
-PacketOut.  A task's rtt_cs is the mean of its start snapshot and the
-samples that have come back, and it is subtracted from each raw sample,
-clamping at zero:
+PacketOut.  One callback, _after_echo, takes both kinds of echo.  A
+task's rtt_cs is the mean of its start snapshot and the samples that have
+come back, and it is subtracted from each raw sample, clamping at zero:
 
     rtt = max(0, (t_in - t_out) - rtt_cs)
 
@@ -150,8 +153,6 @@ def corrected_rtt(t_out, t_in, rtt_cs_us):
 
 @dataclass(slots=True)
 class ProbeRecord:
-    icmp_seq: int
-    ttl: int
     t_out: int
     t_in: int = None
     responder: str = None
@@ -201,11 +202,10 @@ class ProbeSettings:
     probe_timeout_us: int = 3_000_000
     probe_gap_us: int = 0
     max_probes_per_task: int = 65535
-    flow_priority: int = 100
 
 
 class MeasurementEngine:
-    """Owns tasks, the id space, the RTT estimator and the reply router."""
+    """Owns tasks, the id space, the RTT estimator and the reply matcher."""
 
     def __init__(self, loop, settings=None):
         self.loop = loop
@@ -235,6 +235,14 @@ class MeasurementEngine:
         self._sent = deque()      # (task, record) in t_out order
         self._open = 0            # open records over every task
         self._deadline = None     # expiry timer of the FIFO's head
+        # reply kind -> (task table, filler) pairs, searched in order
+        self._matchers = {
+            ReplyKind.ECHO_REPLY: ((self.pings, self._fill_record),
+                                   (self.traceroutes, self._fill_reached)),
+            ReplyKind.TIME_EXCEEDED: ((self.traceroutes, self._fill_record),),
+            ReplyKind.ROUTER_ID_REPLY: ((self.router_id_queries,
+                                         self._fill_identity),),
+        }
 
     # -- session wiring -----------------------------------------------------
 
@@ -244,8 +252,7 @@ class MeasurementEngine:
         session replaces the old one."""
         session.packet_in_handler = self._on_packet_in
         session.close_handler = self._on_session_closed
-        session.install_reply_flows(self.settings.src_ip,
-                                    self.settings.flow_priority)
+        session.install_reply_flows(self.settings.src_ip)
         self._session = session
         # a new switch means cold upstream ARP caches
         self._primed_ports = set()
@@ -271,11 +278,6 @@ class MeasurementEngine:
 
     def session_active(self):
         return self._session is not None and self._session.state == ACTIVE
-
-    def _require_session(self):
-        if not self.session_active():
-            raise NoActiveSession("no active switch session")
-        return self._session
 
     # -- task startup ---------------------------------------------------------
 
@@ -309,54 +311,53 @@ class MeasurementEngine:
                probes_per_ttl, payload=b"", icmp_type=ICMP_ECHO_REQUEST):
         """Allocate an id and begin a task.  Probes flow only after a
         fresh control-channel RTT sample.  A bad target raises
-        wire.UnencodableMessage before any id is taken."""
+        wire.UnencodableMessage, and a bad out_port or gap_us ValueError,
+        before any id is taken."""
         wire.ip_to_bytes(target)
-        session = self._require_session()
+        out_port = self.settings.out_port if out_port is None else out_port
+        gap_us = self.settings.probe_gap_us if gap_us is None else gap_us
+        if not isinstance(out_port, int) or not 0 <= out_port <= 0xFFFFFFFF:
+            raise ValueError("out_port must be a 32-bit port number")
+        if not isinstance(gap_us, int) or gap_us < 0:
+            raise ValueError("gap_us must be a non-negative integer")
+        if not self.session_active():
+            raise NoActiveSession("no active switch session")
+        session = self._session
         task = ProbeTask(
             icmp_id=self.allocator.allocate(), target=target, num=num,
             first_ttl=first_ttl, probes_per_ttl=probes_per_ttl,
-            out_port=self.settings.out_port if out_port is None else out_port,
-            gap_us=self.settings.probe_gap_us if gap_us is None else gap_us,
-            payload=payload, icmp_type=icmp_type)
+            out_port=out_port, gap_us=gap_us, payload=payload,
+            icmp_type=icmp_type)
         table[task.icmp_id] = task
-        if task.out_port not in self._primed_ports:
-            self._prime_port(session, task.out_port)
+        if out_port not in self._primed_ports:
+            self._prime_port(session, out_port)
         fut = session.sample_switch_rtt()
-        fut.add_done_callback(lambda f: self._after_echo(f, task))
+        fut.add_done_callback(lambda f: self._after_echo(f, task, True))
         return task.icmp_id
 
-    def _after_echo(self, fut, task):
-        if task.cleared:
-            return
-        exc = fut.exception()
-        if exc is None:
-            self.estimator.update(fut.result())
-        else:
-            # Probing proceeds on the last known estimate rather than
-            # stalling the task behind a lost echo.
-            self._count_echo_failure(exc)
-        self._add_rtt_cs(task, self.estimator.current or 0.0)
-        self._emit(task)
-
-    def _after_emission_echo(self, fut, task):
-        """Keep an echo sent alongside a spaced emission as the task's own
-        sample; the smoothed estimate keeps feeding from task starts only.
-        The callback holds the task itself, so an echo outliving a clear
-        can never land on a later task that recycled the id."""
+    def _after_echo(self, fut, task, start):
+        """One callback for the start echo and for each echo sent alongside
+        a spaced emission.  A start echo feeds the smoothed estimate, whose
+        value becomes the task's first sample, and starts emission; an
+        emission echo is the task's own sample until the task is done.  The
+        callback holds the task itself, so an echo outliving a clear can
+        never land on a later task that recycled the id."""
         if task.cleared:
             return
         exc = fut.exception()
         if exc is not None:
-            self._count_echo_failure(exc)
+            # an echo the closing session abandoned was never timed out
+            self.counters["session_lost" if isinstance(exc, SessionClosed)
+                          else "echo_timeouts"] += 1
+        elif start:
+            self.estimator.update(fut.result())
         elif not task.done:
             self._add_rtt_cs(task, fut.result())
-
-    def _count_echo_failure(self, exc):
-        """An echo the closing session abandoned was never timed out."""
-        if isinstance(exc, SessionClosed):
-            self.counters["session_lost"] += 1
-        else:
-            self.counters["echo_timeouts"] += 1
+        if start:
+            # Probing proceeds on the last known estimate rather than
+            # stalling the task behind a lost echo.
+            self._add_rtt_cs(task, self.estimator.current or 0.0)
+            self._emit(task)
 
     @staticmethod
     def _add_rtt_cs(task, sample_us):
@@ -384,16 +385,15 @@ class MeasurementEngine:
         reads as done."""
         if not task.cleared and task.dest_ttl is None \
                 and self.session_active():
-            ttl = task.ttl(seq)
-            frame = frames.stamp_echo_request(template, seq, ttl)
+            frame = frames.stamp_echo_request(template, seq, task.ttl(seq))
             t_out = self._session.send_probe(task.out_port, frame)
             if task.gap_us and task.records:
                 # Written after the PacketOut so it never delays the probe's
                 # emission; on the virtual transport the two share a segment.
                 fut = self._session.sample_switch_rtt()
                 fut.add_done_callback(
-                    lambda f: self._after_emission_echo(f, task))
-            record = ProbeRecord(icmp_seq=seq, ttl=ttl, t_out=t_out)
+                    lambda f: self._after_echo(f, task, False))
+            record = ProbeRecord(t_out)
             task.records[seq] = record
             task.open += 1
             self._open += 1
@@ -434,46 +434,29 @@ class MeasurementEngine:
     # -- reply handling -----------------------------------------------------------
 
     def _on_packet_in(self, frame, t_in, in_port):
+        """The one reply matcher: the reply's kind names the task tables to
+        search by id and the filler that fills the record and applies the
+        kind's effect.  Every frame ends in one record or one counter."""
         try:
             reply = frames.parse_reply(frame)
         except frames.MalformedFrame:
             self.counters["malformed_frames"] += 1
             return
-        if reply.kind == ReplyKind.ECHO_REPLY:
-            self._route_echo_reply(reply, t_in)
-        elif reply.kind == ReplyKind.TIME_EXCEEDED:
-            self._route_time_exceeded(reply, t_in)
-        elif reply.kind == ReplyKind.ROUTER_ID_REPLY:
-            self._route_router_id_reply(reply, t_in)
+        matchers = self._matchers.get(reply.kind)
+        if matchers is not None:
+            for table, fill in matchers:
+                task = table.get(reply.icmp_id)
+                if task is not None:
+                    fill(task, reply, t_in)
+                    return
+            self.counters["unknown_replies"] += 1
         elif (reply.kind == ReplyKind.ROUTER_ID_QUERY and self.router_id_serve
               and self.router_identity is not None and self.session_active()):
             self._session.send_probe(in_port, frames.build_router_id_reply(
-                frame, self.router_identity, reply.view))
+                reply.view, self.router_identity))
             self.counters["router_id_served"] += 1
         else:
             self.counters["other_frames"] += 1
-
-    def _route_echo_reply(self, reply, t_in):
-        task = self.pings.get(reply.icmp_id)
-        if task is not None:
-            self._fill_record(task, reply, t_in)
-            return
-        task = self.traceroutes.get(reply.icmp_id)
-        if task is not None:
-            # only a traceroute stops at the destination
-            ttl = task.ttl(reply.icmp_seq)
-            if self._fill_record(task, reply, t_in):
-                if task.dest_ttl is None or ttl < task.dest_ttl:
-                    task.dest_ttl = ttl
-            return
-        self.counters["unknown_replies"] += 1
-
-    def _route_time_exceeded(self, reply, t_in):
-        task = self.traceroutes.get(reply.icmp_id)
-        if task is None:
-            self.counters["unknown_replies"] += 1
-            return
-        self._fill_record(task, reply, t_in)
 
     def _fill_record(self, task, reply, t_in):
         """First answer wins; duplicates and post-expiry stragglers only
@@ -496,12 +479,16 @@ class MeasurementEngine:
             self._stop_expiry()
         return True
 
-    def _route_router_id_reply(self, reply, t_in):
+    def _fill_reached(self, task, reply, t_in):
+        """An echo reply to a traceroute: the destination answered, so the
+        task stops at the lowest TTL it answered from."""
+        if self._fill_record(task, reply, t_in):
+            ttl = task.ttl(reply.icmp_seq)
+            if task.dest_ttl is None or ttl < task.dest_ttl:
+                task.dest_ttl = ttl
+
+    def _fill_identity(self, task, reply, t_in):
         """An identity that does not decode leaves its record to expire."""
-        task = self.router_id_queries.get(reply.icmp_id)
-        if task is None:
-            self.counters["unknown_replies"] += 1
-            return
         identity = frames.decode_router_identity(reply.payload)
         if identity is None:
             self.counters["malformed_frames"] += 1

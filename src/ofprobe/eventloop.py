@@ -234,13 +234,15 @@ class EventLoop:
         while self._pending_external:
             fn, args = self._pending_external.popleft()
             self.call_soon(fn, *args)
-        timeout = None
+        # Wait at most 1 s, also with nothing queued: a timer far off would
+        # overflow select's timeout.
+        timeout = 1.0
         now = self.now_us()
         while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
         if self._heap:
-            timeout = max(0, self._heap[0][0] - now) / 1e6
-        events = self._selector.select(timeout if timeout is not None else 1.0)
+            timeout = min(timeout, max(0, self._heap[0][0] - now) / 1e6)
+        events = self._selector.select(timeout)
         for key, mask in events:
             if key.fd == self._waker_r:
                 try:

@@ -8,8 +8,9 @@ template, whose caller converts its addresses once.  Replies built from a
 received frame copy its raw address bytes and never convert them.
 
 A received frame is parsed once, into an ICMP view: parse_reply and
-parse_icmp read that one parse, and the reply builders accept it (an
-identity query comes back from parse_reply with its view).
+parse_icmp read that one parse, and the reply builders take the caller's
+view instead of parsing again (an identity query comes back from
+parse_reply with its view).
 internet_checksum reads its buffer as one big-endian integer: as 2**16 is
 1 modulo 0xFFFF, that integer modulo 0xFFFF is the ones'-complement sum of
 its words (a nonzero multiple of 0xFFFF folds to 0xFFFF).
@@ -54,15 +55,11 @@ _ECHO_STAMP = struct.Struct("!BBH8sBBHHH")
 _ARP = struct.Struct("!HHBBH6s4s6s4s")
 
 
-class FrameError(Exception):
-    pass
-
-
-class MalformedFrame(FrameError):
+class MalformedFrame(Exception):
     """Frame is shorter than its own headers declare."""
 
 
-class PayloadTooLarge(FrameError):
+class PayloadTooLarge(Exception):
     pass
 
 
@@ -264,13 +261,6 @@ def _icmp_view(frame):
             eth_dst, eth_src)
 
 
-def _view_of(frame, what):
-    view = _icmp_view(frame)
-    if view is None:
-        raise MalformedFrame("%s is not ICMPv4" % what)
-    return view
-
-
 def parse_icmp(frame):
     """Loose ICMP view of a frame for dataplane emulation (the tuple
     described at _icmp_view), or None when the frame is not well-formed
@@ -312,51 +302,44 @@ def parse_reply(frame):
     return ParsedReply(ReplyKind.OTHER)
 
 
-def _reply_to(view, src_ip, icmp, ttl):
+def _reply_to(view, src_ip, icmp):
     """Frame carrying icmp back to the sender of a viewed frame, from
-    src_ip (raw bytes), with the Ethernet addresses swapped."""
+    src_ip (raw bytes), with TTL 64 and the Ethernet addresses swapped."""
     _t, _c, _i, _s, _ttl, sender_ip, _dst, _msg, eth_dst, eth_src = view
     total = 20 + len(icmp)
-    csum = internet_checksum(_IPV4.pack(0x45, 0, total, 0, 0, ttl,
+    csum = internet_checksum(_IPV4.pack(0x45, 0, total, 0, 0, 64,
                                         IP_PROTO_ICMP, 0, src_ip, sender_ip))
     return (_ETH.pack(eth_src, eth_dst, ETH_TYPE_IPV4)
-            + _IPV4.pack(0x45, 0, total, 0, 0, ttl, IP_PROTO_ICMP, csum,
+            + _IPV4.pack(0x45, 0, total, 0, 0, 64, IP_PROTO_ICMP, csum,
                          src_ip, sender_ip) + icmp)
 
 
-# The reply builders take the ICMP view of the frame they answer when the
-# caller already has it (parse_icmp); with None they parse the frame.
+# The reply builders answer a frame through its ICMP view (parse_icmp, or
+# an identity query's ParsedReply.view), which the caller already holds.
 
-def build_router_id_reply(query_frame, identity, view=None, ttl=64):
+def build_router_id_reply(view, identity):
     """Answer an identity query, mirroring its addressing back at the
     querier."""
-    if view is None:
-        view = _view_of(query_frame, "identity query")
     _t, _c, ident, seq, _ttl, _src, dst_ip, _msg, _ed, _es = view
     rest = struct.pack("!HH", ident, seq) + encode_router_identity(identity)
     return _reply_to(view, dst_ip,
-                     _icmp(ICMP_ROUTER_ID, ROUTER_ID_REPLY, rest), ttl)
+                     _icmp(ICMP_ROUTER_ID, ROUTER_ID_REPLY, rest))
 
 
-def build_echo_reply(request_frame, view=None, ttl=64):
+def build_echo_reply(view):
     """Loop an Echo Request back as the matching Echo Reply (used by the
     simulated targets)."""
-    if view is None:
-        view = _view_of(request_frame, "echo request")
     _t, _c, _i, _s, _ttl, _src, dst_ip, icmp, _ed, _es = view
-    return _reply_to(view, dst_ip, _icmp(ICMP_ECHO_REPLY, 0, icmp[4:]), ttl)
+    return _reply_to(view, dst_ip, _icmp(ICMP_ECHO_REPLY, 0, icmp[4:]))
 
 
-def build_time_exceeded(router_ip, original_frame, view=None, ttl=64):
+def build_time_exceeded(router_ip, original_frame, view):
     """ICMP Time Exceeded quoting the expired probe: inner IPv4 header plus
     the first 8 payload bytes, per the classic traceroute contract."""
-    if view is None:
-        view = _view_of(original_frame, "expired frame")
     _t, _c, _i, _s, _ttl, _src, _dst, icmp, _ed, _es = view
     quote = original_frame[14:34] + icmp[:8]
     return _reply_to(view, ip_to_bytes(router_ip),
-                     _icmp(ICMP_TIME_EXCEEDED, 0, b"\x00\x00\x00\x00" + quote),
-                     ttl)
+                     _icmp(ICMP_TIME_EXCEEDED, 0, b"\x00\x00\x00\x00" + quote))
 
 
 def match_fields(frame):

@@ -37,10 +37,6 @@ class TopologyError(Exception):
     pass
 
 
-class UnknownTarget(KeyError):
-    pass
-
-
 _DURATION_RE = re.compile(r"^(\d+(?:\.\d+)?)(us|ms|s)$")
 _SCALE = {"us": 1, "ms": 1000, "s": 1_000_000}
 
@@ -197,15 +193,6 @@ class SimTopology:
         return self
 
 
-def ground_truth_rtt(topology, target_ip):
-    """True switch-port-to-target RTT in microseconds; the oracle every
-    estimate is judged against."""
-    target = topology.targets.get(target_ip)
-    if target is None:
-        raise UnknownTarget(target_ip)
-    return target.base_rtt_us
-
-
 # -- topology file -------------------------------------------------------
 
 
@@ -357,13 +344,13 @@ def dataplane_process(topology, frame, emit_us, rng):
                      emit_us + delay)]
         if not target.responds:
             return []
-        return [(frames.build_echo_reply(frame, view),
+        return [(frames.build_echo_reply(view),
                  emit_us + target.base_rtt_us)]
     if icmp_type == frames.ICMP_ROUTER_ID and code == frames.ROUTER_ID_QUERY:
         host = topology.router_id_hosts.get(wire.ip_from_bytes(dst_ip))
         if host is None:
             return []
-        return [(frames.build_router_id_reply(frame, host.identity, view),
+        return [(frames.build_router_id_reply(view, host.identity),
                  emit_us + host.rtt_us)]
     return []
 

@@ -24,10 +24,6 @@ class ReportRow:
     abs_error_us: float    # |est_mean - truth|
     rel_error: float
 
-    @property
-    def abs_error_first_us(self):
-        return None if self.est_us is None else abs(self.est_us - self.truth_us)
-
 
 def task_estimates(entry):
     """Corrected RTT per probe of one dump entry (None where unanswered)."""
@@ -96,11 +92,8 @@ class ErrorReport:
         self.rows = rows
         self.unanswered_targets = unanswered_targets
 
-    def abs_errors(self, which="mean"):
-        if which == "mean":
-            return [r.abs_error_us for r in self.rows]
-        return [r.abs_error_first_us for r in self.rows
-                if r.abs_error_first_us is not None]
+    def abs_errors(self):
+        return [r.abs_error_us for r in self.rows]
 
     def rel_errors(self):
         return [r.rel_error for r in self.rows]
@@ -115,7 +108,7 @@ class ErrorReport:
     def abs_error_cdf(self):
         return cdf_points(self.abs_errors())
 
-    # -- CSV round trip --------------------------------------------------
+    # -- CSV ---------------------------------------------------------------
 
     FIELDS = ("target", "truth_us", "est_us", "est_mean_us",
               "abs_error_us", "rel_error")
@@ -131,25 +124,6 @@ class ErrorReport:
                     repr(r.est_mean_us), repr(r.abs_error_us),
                     repr(r.rel_error),
                 ])
-
-    @classmethod
-    def read_csv(cls, path):
-        rows = []
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = tuple(next(reader))
-            if header != cls.FIELDS:
-                raise ValueError("unexpected report header %r" % (header,))
-            for rec in reader:
-                rows.append(ReportRow(
-                    target=rec[0],
-                    truth_us=float(rec[1]),
-                    est_us=float(rec[2]) if rec[2] else None,
-                    est_mean_us=float(rec[3]),
-                    abs_error_us=float(rec[4]),
-                    rel_error=float(rec[5]),
-                ))
-        return cls(rows)
 
 
 def report_from_topology(dump, topology):

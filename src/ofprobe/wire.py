@@ -94,10 +94,17 @@ class UnsupportedType(WireError):
 
 
 def ip_to_bytes(ip):
+    """The 4 bytes of a dotted-decimal IPv4 address that reads back
+    unchanged.  inet_aton alone also takes octal, hex, short forms and
+    trailing junk, so a dump would name another string than the address
+    probed; those raise UnencodableMessage."""
     try:
-        return socket.inet_aton(ip)
-    except (OSError, TypeError):
-        raise UnencodableMessage("bad IPv4 address %r" % (ip,))
+        raw = socket.inet_aton(ip)
+        if socket.inet_ntoa(raw) == ip:
+            return raw
+    except (OSError, TypeError, ValueError):
+        pass
+    raise UnencodableMessage("bad IPv4 address %r" % (ip,))
 
 
 def ip_from_bytes(raw):

@@ -308,6 +308,22 @@ def test_non_canonical_targets_are_400(path, tgt):
     assert stack.engine.allocator.in_use == 0
 
 
+def test_out_port_wider_than_32_bits_is_400_and_takes_nothing():
+    stack, app = make_app()
+    tokens = app.bucket._tokens
+    body = {"tgt": "192.0.2.1", "num": 2, "out_port": 1 << 32}
+    status, payload = app.dispatch("PUT", "/ping", json.dumps(body).encode())
+    assert status == 400 and payload["error"].startswith("out_port")
+    assert app.bucket._tokens == tokens
+    assert stack.engine.allocator.in_use == 0
+    assert app.dispatch("GET", "/ping/dump") == (200, {})
+    stack.loop.run_until_idle()
+    body["out_port"] = 0xFFFFFFFF  # the widest port still fits
+    assert app.dispatch("PUT", "/ping", json.dumps(body).encode()) \
+        == (200, {"icmp_id": 0})
+    stack.loop.run_until_idle()
+
+
 @pytest.mark.parametrize("path, body", [
     ("/ping", PING_BODY),
     ("/traceroute", json.dumps({"tgt": "192.0.2.1"}).encode()),

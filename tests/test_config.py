@@ -1,5 +1,7 @@
 """INI configuration parsing."""
 
+import pathlib
+
 import pytest
 
 from ofprobe.config import (
@@ -139,3 +141,21 @@ def test_dataclass_defaults_match_documented_ports():
     cfg = ControllerConfig()
     assert cfg.openflow_port == 6633
     assert cfg.api_port == 8080
+
+
+def test_readme_config_block_loads_to_the_defaults(tmp_path):
+    """The block under README "Controller configuration", inline comments
+    and all, is what load_config reads as ControllerConfig()."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split(
+        "## Controller configuration", 1)[1]
+    path = tmp_path / "controller.ini"
+    path.write_text(section.split("```", 2)[1], encoding="utf-8")
+    assert load_config(path) == ControllerConfig()
+
+
+@pytest.mark.parametrize("src_ip", [
+    "10.0.0.0100", "10.0.0.100 junk", "10.0.100", "probes.example"])
+def test_non_canonical_src_ip_is_a_config_error(src_ip):
+    with pytest.raises(ConfigError):
+        parse("[probe]\nsrc_ip = %s\n" % src_ip)

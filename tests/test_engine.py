@@ -186,7 +186,7 @@ def test_duplicate_reply_first_wins():
         src_mac="02:00:00:00:00:64", dst_mac="02:bb:bb:bb:bb:bb",
         icmp_id=icmp_id, icmp_seq=0))
     # two identical answers injected at the switch port
-    reply = frames.build_echo_reply(request)
+    reply = frames.build_echo_reply(frames.parse_icmp(request))
     stack.switch.receive_dataplane(reply, 1)
     stack.loop.run_for(10_000)
     first_t_in = stack.engine.dump_ping()[str(icmp_id)]["probes"][0][1]
@@ -205,7 +205,8 @@ def test_reply_after_expiry_is_late():
         src_ip="10.0.0.100", dst_ip="192.0.2.1",
         src_mac="02:00:00:00:00:64", dst_mac="02:bb:bb:bb:bb:bb",
         icmp_id=icmp_id, icmp_seq=0))
-    stack.switch.receive_dataplane(frames.build_echo_reply(request), 1)
+    stack.switch.receive_dataplane(
+        frames.build_echo_reply(frames.parse_icmp(request)), 1)
     stack.loop.run_until_idle()
     entry = stack.engine.dump_ping()[str(icmp_id)]
     assert entry["probes"][0][1] is None
@@ -219,7 +220,8 @@ def test_unknown_reply_counted():
         src_ip="10.0.0.100", dst_ip="192.0.2.1",
         src_mac="02:00:00:00:00:64", dst_mac="02:bb:bb:bb:bb:bb",
         icmp_id=60_000, icmp_seq=4))
-    stack.switch.receive_dataplane(frames.build_echo_reply(request), 1)
+    stack.switch.receive_dataplane(
+        frames.build_echo_reply(frames.parse_icmp(request)), 1)
     stack.loop.run_until_idle()
     assert stack.engine.counters["unknown_replies"] == 1
 
@@ -245,7 +247,14 @@ def test_no_session_refused():
     lambda engine: engine.start_ping(None, 1),
     lambda engine: engine.start_traceroute("not-an-ip"),
     lambda engine: engine.start_router_id_query("not-an-ip"),
-], ids=["ping", "ping_none", "traceroute", "router_id_query"])
+    # inet_aton reads each of these as some address, but the dump would
+    # name the text as sent, not the address probed
+    lambda engine: engine.start_ping("10.0.0.010", 1),
+    lambda engine: engine.start_ping("10.0.0.0x10", 1),
+    lambda engine: engine.start_traceroute("10.0.0.8\n"),
+    lambda engine: engine.start_router_id_query("1.2.3.4 junk"),
+], ids=["ping", "ping_none", "traceroute", "router_id_query", "octal",
+        "hex", "newline", "junk"])
 def test_bad_target_is_refused_before_an_id_is_taken(start):
     stack = VirtualStack(ping_topo())
     with pytest.raises(wire.UnencodableMessage):
@@ -257,6 +266,26 @@ def test_bad_target_is_refused_before_an_id_is_taken(start):
     assert stack.engine.start_ping("192.0.2.1", 1) == 0
     stack.loop.run_until_idle()
     assert stack.engine.dump_ping()["0"]["probes"][0][2] == "192.0.2.1"
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"out_port": -1}, {"out_port": "1"}, {"out_port": 1 << 32},
+    {"gap_us": -1}, {"gap_us": "5"}, {"gap_us": 2.5},
+], ids=["port_negative", "port_text", "port_wide", "gap_negative",
+        "gap_text", "gap_float"])
+def test_bad_out_port_or_gap_is_refused_before_an_id_is_taken(kwargs):
+    stack = VirtualStack(ping_topo())
+    for start in (lambda: stack.engine.start_ping("192.0.2.1", 2, **kwargs),
+                  lambda: stack.engine.start_traceroute("192.0.2.1",
+                                                        **kwargs)):
+        with pytest.raises(ValueError):
+            start()
+    assert stack.engine.allocator.in_use == 0
+    assert stack.engine.dump_ping() == {}
+    assert stack.engine.dump_traceroute() == {}
+    stack.loop.run_until_idle()
+    assert stack.engine.start_ping("192.0.2.1", 1) == 0
+    stack.loop.run_until_idle()
 
 
 def test_clear_releases_ids_and_empties_dump():
@@ -295,7 +324,7 @@ def echo_reply_for(icmp_id, seq):
         src_ip="10.0.0.100", dst_ip="192.0.2.1",
         src_mac="02:00:00:00:00:64", dst_mac="02:bb:bb:bb:bb:bb",
         icmp_id=icmp_id, icmp_seq=seq))
-    return frames.build_echo_reply(request)
+    return frames.build_echo_reply(frames.parse_icmp(request))
 
 
 @pytest.mark.parametrize("target", ["192.0.2.9", "192.0.2.66"])
@@ -878,8 +907,8 @@ def test_rtt_cs_is_final_once_the_task_is_done():
     icmp_id = engine.start_ping("192.0.2.1", 2, gap_us=1000)
     loop.run_for(1500)
     for _port, frame in session.probes[1:]:  # skip the ARP announcement
-        session.packet_in_handler(frames.build_echo_reply(frame),
-                                  loop.now_us(), 1)
+        session.packet_in_handler(
+            frames.build_echo_reply(frames.parse_icmp(frame)), loop.now_us(), 1)
     assert engine.pings[icmp_id].done
     session.pending[0].set_result(90_000)  # echo outlived the probes
     assert engine.dump_ping()[str(icmp_id)]["rtt_cs_us"] == 4000.0
@@ -892,8 +921,9 @@ def answer(session, n, router_ip=None):
     """Feed back the reply to the n-th probe the fake session sent, over
     every task: an Echo Reply, or a Time Exceeded from router_ip."""
     _port, frame = session.probes[1 + n]  # probes[0] is the ARP
-    reply = (frames.build_echo_reply(frame) if router_ip is None
-             else frames.build_time_exceeded(router_ip, frame))
+    view = frames.parse_icmp(frame)
+    reply = (frames.build_echo_reply(view) if router_ip is None
+             else frames.build_time_exceeded(router_ip, frame, view))
     session.packet_in_handler(reply, session.loop.now_us(), 1)
 
 
@@ -1022,3 +1052,114 @@ def test_dump_renders_as_a_fresh_build(table, dump):
             task.row = None
         assert kept == render_json(dump())
     assert all(task.row is not None for task in tasks.values())
+
+
+# -- the reply matcher ---------------------------------------------------------------
+
+RID_MACS = dict(src_mac="02:00:00:00:00:64", dst_mac="02:00:00:00:00:01")
+
+
+def reply_frame(kind, icmp_id, seq):
+    """A reply of kind to probe (icmp_id, seq), built as a target or a
+    router on the path would."""
+    if kind in ("identity", "bad_identity"):
+        query = frames.build_router_id_query("10.0.0.100", "203.0.113.5",
+                                             icmp_id=icmp_id, icmp_seq=seq,
+                                             **RID_MACS)
+        reply = bytearray(frames.build_router_id_reply(
+            frames.parse_icmp(query), frames.RouterIdentity(65001, "rtr-1")))
+        if kind == "bad_identity":
+            reply[-6] += 1  # ident length past the payload
+            reply[36:38] = b"\x00\x00"
+            reply[36:38] = frames.internet_checksum(
+                bytes(reply[34:])).to_bytes(2, "big")
+        return bytes(reply)
+    probe = frames.build_echo_request(frames.EchoProbe(
+        "10.0.0.100", "192.0.2.9", icmp_id=icmp_id, icmp_seq=seq,
+        **RID_MACS))
+    view = frames.parse_icmp(probe)
+    if kind == "echo":
+        return frames.build_echo_reply(view)
+    return frames.build_time_exceeded("10.1.0.1", probe, view)
+
+
+def matcher_state(engine):
+    records = {(table, icmp_id, seq): (r.t_in, r.expired)
+               for table in ("pings", "traceroutes", "router_id_queries")
+               for icmp_id, task in getattr(engine, table).items()
+               for seq, r in task.records.items()}
+    return dict(engine.counters), records
+
+
+@pytest.mark.parametrize("kind, table, seq, before, outcome", [
+    ("echo", "pings", 1, None, "filled"),
+    ("time_exceeded", "traceroutes", 0, None, "filled"),
+    ("echo", "traceroutes", 2, None, "filled"),
+    ("identity", "router_id_queries", 0, None, "filled"),
+    ("echo", None, 0, None, "unknown_replies"),
+    ("identity", None, 0, None, "unknown_replies"),
+    ("echo", "pings", 5, None, "unknown_replies"),
+    ("time_exceeded", "traceroutes", 40, None, "unknown_replies"),
+    ("echo", "pings", 0, "answered", "duplicate_replies"),
+    ("time_exceeded", "traceroutes", 1, "answered", "duplicate_replies"),
+    ("identity", "router_id_queries", 0, "expired", "late_replies"),
+    ("echo", "traceroutes", 3, "expired", "late_replies"),
+    ("bad_identity", "router_id_queries", 0, None, "malformed_frames"),
+    ("time_exceeded", "pings", 0, None, "unknown_replies"),
+], ids=["ping", "hop", "destination", "identity", "unknown_id",
+        "unknown_identity_id", "ping_seq_never_sent", "hop_seq_never_sent",
+        "duplicate", "duplicate_hop", "late_identity", "late_destination",
+        "identity_does_not_decode", "time_exceeded_quoting_a_ping"])
+def test_each_packet_in_changes_one_record_or_one_counter(
+        kind, table, seq, before, outcome):
+    loop, engine, session = fake_engine([4000] * 3)
+    ids = {"pings": engine.start_ping("192.0.2.1", 2),
+           "traceroutes": engine.start_traceroute("192.0.2.9"),
+           "router_id_queries": engine.start_router_id_query("203.0.113.5"),
+           None: 999}
+    icmp_id = ids[table]
+    frame = reply_frame(kind, icmp_id, seq)
+    if before == "answered":
+        session.packet_in_handler(frame, loop.now_us(), 1)
+    elif before == "expired":
+        loop.run_for(ProbeSettings().probe_timeout_us + 1)
+    counters, records = matcher_state(engine)
+    session.packet_in_handler(frame, loop.now_us(), 1)
+    counters_after, records_after = matcher_state(engine)
+    moved = {k: v - counters[k] for k, v in counters_after.items()
+             if v != counters[k]}
+    changed = [k for k, v in records_after.items() if records[k] != v]
+    assert records.keys() == records_after.keys()
+    if outcome == "filled":
+        assert (moved, changed) == ({}, [(table, icmp_id, seq)])
+        assert records_after[changed[0]] == (loop.now_us(), False)
+    else:
+        assert (moved, changed) == ({outcome: 1}, [])
+    trace, query = engine.traceroutes[ids["traceroutes"]], \
+        engine.router_id_queries[ids["router_id_queries"]]
+    assert trace.dest_ttl == (3 if (kind, table, outcome)
+                              == ("echo", "traceroutes", "filled") else None)
+    assert query.identity == (frames.RouterIdentity(65001, "rtr-1")
+                              if kind == "identity" and outcome == "filled"
+                              else None)
+
+
+def test_each_out_port_is_primed_once_per_session():
+    loop, engine, session = fake_engine([4000] * 3)
+    engine.start_ping("192.0.2.1", 1)
+    engine.start_ping("192.0.2.1", 1, out_port=2)
+    engine.start_ping("192.0.2.1", 1, out_port=2)
+    kinds = [(port, frame[12:14]) for port, frame in session.probes]
+    arp, ipv4 = b"\x08\x06", b"\x08\x00"
+    assert kinds == [(1, arp), (1, ipv4), (2, arp), (2, ipv4), (2, ipv4)]
+
+
+def test_start_echo_returning_after_a_clear_sends_nothing():
+    loop, engine, session = fake_engine([None])
+    task = engine.pings[engine.start_ping("192.0.2.1", 2)]
+    assert engine.clear_ping() == 1
+    session.pending[0].set_result(5000)
+    loop.run_until_idle()
+    assert len(session.probes) == 1  # the ARP announcement only
+    assert (task.records, task.rtt_cs_us) == ({}, None)
+    assert engine.estimator.current is None

@@ -367,3 +367,17 @@ def test_realtime_clock_tracks_wall_time():
     time.sleep(0.02)
     assert loop.now_us() - t0 >= 15_000
     loop.close()
+
+
+def test_a_far_off_timer_does_not_end_the_realtime_loop():
+    """Each realtime wait is capped at 1 s, so a timer 10**30 us away never
+    reaches select as a timeout past the platform's time_t."""
+    loop = EventLoop(realtime=True)
+    loop.call_later(10 ** 30, lambda: None)
+    stopper = threading.Timer(0.001, loop.stop)
+    loop.call_soon(stopper.start)  # the far timer is then the only one left
+    try:
+        loop.run_forever()
+    finally:
+        stopper.join()
+        loop.close()

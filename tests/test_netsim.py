@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from ofprobe import frames, netsim, transport, wire
 from ofprobe.eventloop import EventLoop
+from ofprobe.report import truth_map
 from helpers import VirtualStack, make_topology
 
 PROBE_KW = dict(src_ip="10.0.0.100", src_mac="02:00:00:00:00:64",
@@ -166,9 +167,9 @@ def test_topology_rejects_bad_documents(doc):
 
 def test_ground_truth_lookup():
     topo = netsim.parse_topology(TOPOLOGY_DOC)
-    assert netsim.ground_truth_rtt(topo, "192.0.2.1") == 20_000
-    with pytest.raises(netsim.UnknownTarget):
-        netsim.ground_truth_rtt(topo, "198.18.0.1")
+    truth = truth_map(topo)
+    assert truth["192.0.2.1"] == 20_000
+    assert "198.18.0.1" not in truth
 
 
 def test_load_topology(tmp_path):
@@ -378,7 +379,7 @@ def test_flow_match_prefers_priority_then_recency():
            wire.flow_mod(4, 50, base))
     h.loop.run_until_idle()
     # a reply mirrors the probe, so it lands on the probe source address
-    reply = frames.build_echo_reply(echo_frame("192.0.2.50"))
+    reply = frames.build_echo_reply(frames.parse_icmp(echo_frame("192.0.2.50")))
     winner = h.switch._best_match(reply)
     assert winner.priority == 200
     assert winner.seqno == 3
@@ -390,11 +391,11 @@ def test_flow_match_misses_on_any_field():
     h.send(*reply_flows())
     h.loop.run_until_idle()
     # right type, wrong destination: probe sourced from a foreign address
-    stray = frames.build_echo_reply(
+    stray = frames.build_echo_reply(frames.parse_icmp(
         frames.build_echo_request(frames.EchoProbe(
             dst_ip="192.0.2.50", icmp_id=1, icmp_seq=0,
             src_ip="10.0.0.200", src_mac="02:aa:aa:aa:aa:aa",
-            dst_mac="02:00:00:00:00:64")))
+            dst_mac="02:00:00:00:00:64"))))
     assert h.switch._best_match(stray) is None
     # and the probe request itself (type 8) never matches reply flows
     assert h.switch._best_match(echo_frame("192.0.2.50")) is None

@@ -1,5 +1,7 @@
 """Report math is recomputable by hand from the raw dump."""
 
+import csv
+
 import pytest
 
 from ofprobe import netsim
@@ -52,7 +54,6 @@ def test_build_report_rows_and_errors():
     assert row.est_mean_us == 22_000.0
     assert row.abs_error_us == 2000.0
     assert row.rel_error == pytest.approx(0.1)
-    assert row.abs_error_first_us == 1000.0
 
 
 def test_build_report_rejects_unknown_targets():
@@ -96,17 +97,14 @@ def test_csv_round_trip_preserves_floats(tmp_path):
     report = build_report(dump, truth)
     path = tmp_path / "report.csv"
     report.write_csv(path)
-    back = ErrorReport.read_csv(path)
-    assert len(back.rows) == 1
-    for field in ErrorReport.FIELDS:
-        assert getattr(back.rows[0], field) == getattr(report.rows[0], field)
-
-
-def test_csv_rejects_foreign_header(tmp_path):
-    path = tmp_path / "other.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError):
-        ErrorReport.read_csv(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert tuple(header) == ErrorReport.FIELDS
+    assert len(rows) == 1
+    row = report.rows[0]
+    for field, cell in zip(ErrorReport.FIELDS, rows[0]):
+        value = getattr(row, field)
+        assert cell == (value if field == "target" else repr(value))
 
 
 def test_report_from_live_dump():
