@@ -16,8 +16,8 @@ import logging
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .engine import MAX_TTL, NoActiveSession, StateFull
-from .frames import MAX_ECHO_PAYLOAD, RouterIdentity
+from .engine import ID_SPACE, MAX_TTL, NoActiveSession, StateFull
+from .frames import PayloadTooLarge, RouterIdentity, check_echo_payload
 from .wire import UnencodableMessage, ip_to_bytes
 
 log = logging.getLogger(__name__)
@@ -103,7 +103,7 @@ class ApiApp:
         try:
             return getattr(self, handler)(*args,
                                           self._parse_body(method, body))
-        except _BadRequest as exc:
+        except (_BadRequest, PayloadTooLarge) as exc:
             return 400, {"error": str(exc)}
         except StateFull as exc:
             return 503, {"error": str(exc), "code": "state_full",
@@ -174,9 +174,7 @@ class ApiApp:
         if not isinstance(payload, str):
             raise _BadRequest("payload must be a string")
         payload = payload.encode("utf-8")
-        if len(payload) > MAX_ECHO_PAYLOAD:
-            raise _BadRequest("payload exceeds the %d bytes an Echo Request "
-                              "fits in the MTU" % MAX_ECHO_PAYLOAD)
+        check_echo_payload(payload)
         return num, (num, payload)
 
     @staticmethod
@@ -184,7 +182,7 @@ class ApiApp:
         ppt = body.get("probes_per_ttl", 1)
         if not isinstance(ppt, int) or isinstance(ppt, bool) or ppt < 1:
             raise _BadRequest("probes_per_ttl must be a positive integer")
-        if MAX_TTL * ppt > 65536:
+        if MAX_TTL * ppt > ID_SPACE:
             raise _BadRequest("probes_per_ttl too large for the sequence space")
         return MAX_TTL * ppt, (ppt,)
 
@@ -276,19 +274,17 @@ class ApiHttpServer:
 
     def _run_dispatch(self, method, path, body, headers):
         """Dispatch on the loop thread; the one wait across threads."""
-        if self.loop is not None and self.loop.realtime:
-            answered = threading.Event()
-            answer = []
+        answered = threading.Event()
+        answer = []
 
-            def call():
-                answer.append(self.app.dispatch(method, path, body, headers))
-                answered.set()
+        def call():
+            answer.append(self.app.dispatch(method, path, body, headers))
+            answered.set()
 
-            self.loop.call_threadsafe(call)
-            if not answered.wait(30):
-                raise TimeoutError("dispatch not answered in time")
-            return answer[0]
-        return self.app.dispatch(method, path, body, headers)
+        self.loop.call_threadsafe(call)
+        if not answered.wait(30):
+            raise TimeoutError("dispatch not answered in time")
+        return answer[0]
 
     def start(self):
         self._thread = threading.Thread(target=self._httpd.serve_forever,

@@ -12,8 +12,10 @@ task tables searched by id, each with the filler that fills the record and
 applies the kind's one effect (a traceroute's dest_ttl, a query's
 identity).  A task is done when its destination answered (traceroutes
 only) or when emission has finished and every record that was sent is
-answered or expired.  Probes skipped because the session went away leave
-no record, so a task whose switch disconnected still ends done.
+answered or expired.  A task's probes and emission echoes go out through
+the session it started on, also once a newer one is attached; probes
+skipped because that session went away leave no record, so a task whose
+switch disconnected still ends done.
 
 A probe's controller-to-target round trip includes the control channel and
 the switch's processing on both legs.  The engine keeps a smoothed estimate
@@ -181,6 +183,7 @@ class ProbeTask:
     cleared: bool = False
     identity: frames.RouterIdentity = None  # an identity query's answer
     row: dict = None          # dump row, kept once the task is settled
+    session: object = None    # the switch session the task started on
 
     def ttl(self, seq):
         return self.first_ttl + seq // self.probes_per_ttl
@@ -327,7 +330,7 @@ class MeasurementEngine:
             icmp_id=self.allocator.allocate(), target=target, num=num,
             first_ttl=first_ttl, probes_per_ttl=probes_per_ttl,
             out_port=out_port, gap_us=gap_us, payload=payload,
-            icmp_type=icmp_type)
+            icmp_type=icmp_type, session=session)
         table[task.icmp_id] = task
         if out_port not in self._primed_ports:
             self._prime_port(session, out_port)
@@ -379,18 +382,19 @@ class MeasurementEngine:
                 self._send_probe(task, template, seq)
 
     def _send_probe(self, task, template, seq):
-        """Emit probe seq unless the task was cleared, its destination has
-        answered or the session is gone.  The last seq marks emission
-        finished once its record exists, so a dump taken mid-task never
-        reads as done."""
+        """Emit probe seq through the task's own session unless the task
+        was cleared, its destination has answered or that session is gone.
+        The last seq marks emission finished once its record exists, so a
+        dump taken mid-task never reads as done."""
+        session = task.session
         if not task.cleared and task.dest_ttl is None \
-                and self.session_active():
+                and session.state == ACTIVE:
             frame = frames.stamp_echo_request(template, seq, task.ttl(seq))
-            t_out = self._session.send_probe(task.out_port, frame)
+            t_out = session.send_probe(task.out_port, frame)
             if task.gap_us and task.records:
                 # Written after the PacketOut so it never delays the probe's
                 # emission; on the virtual transport the two share a segment.
-                fut = self._session.sample_switch_rtt()
+                fut = session.sample_switch_rtt()
                 fut.add_done_callback(
                     lambda f: self._after_echo(f, task, False))
             record = ProbeRecord(t_out)

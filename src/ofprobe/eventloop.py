@@ -138,8 +138,8 @@ class EventLoop:
     # -- virtual driver ----------------------------------------------------
 
     def _run_due(self, limit_us):
-        """Run the next live event due by limit_us, moving the clock to it;
-        False when there is none."""
+        """Run the next live event due by limit_us, for either driver, moving
+        the virtual clock to it; False when there is none."""
         heap = self._heap
         while heap and heap[0][0] <= limit_us:
             handle = heapq.heappop(heap)[2]
@@ -257,7 +257,5 @@ class EventLoop:
                 fn, args = self._writers[key.fd]
                 fn(*args)
         now = self.now_us()
-        while self._heap and self._heap[0][0] <= now:
-            handle = heapq.heappop(self._heap)[2]
-            if not handle.cancelled:
-                handle._fn(*handle._args)
+        while self._run_due(now):
+            pass

@@ -11,15 +11,17 @@ A received frame is parsed once, into an ICMP view: parse_reply and
 parse_icmp read that one parse, and the reply builders take the caller's
 view instead of parsing again (an identity query comes back from
 parse_reply with its view).
-internet_checksum reads its buffer as one big-endian integer: as 2**16 is
-1 modulo 0xFFFF, that integer modulo 0xFFFF is the ones'-complement sum of
-its words (a nonzero multiple of 0xFFFF folds to 0xFFFF).
+Checksums have one fold, _complement: as 2**16 is 1 modulo 0xFFFF, a
+buffer read as one big-endian integer, or any plain sum of its words, is
+modulo 0xFFFF the ones'-complement sum of its words (a nonzero multiple of
+0xFFFF folds to 0xFFFF).  internet_checksum and every probe stamp call it.
 
-Probes, Echo Requests or identity queries in the same layout, are built
-from a per-task template: the Ethernet header, the addresses and the
+Every probe, Echo Request or identity query in the same layout, is a
+template plus a stamp: the Ethernet header, the addresses and the
 ones-complement sums of every IPv4 and ICMP word except the TTL and the
-sequence number are computed once, and each probe only adds those two
-words to the sums (RFC 1071 section 2, RFC 1624).
+sequence number are computed once per task, and each probe only adds
+those two words to the sums (RFC 1071 section 2, RFC 1624).
+build_echo_request is the same pair for a single frame.
 """
 
 import struct
@@ -71,18 +73,6 @@ class ReplyKind(Enum):
     OTHER = "other"
 
 
-@dataclass
-class EchoProbe:
-    src_ip: str
-    dst_ip: str
-    src_mac: str
-    dst_mac: str
-    icmp_id: int
-    icmp_seq: int
-    payload: bytes = b""
-    ttl: int = 64
-
-
 @dataclass(slots=True)
 class ParsedReply:
     kind: ReplyKind
@@ -106,30 +96,17 @@ class RouterIdentity:
             raise ValueError("ident must encode to 1..64 bytes")
 
 
-def _word_sum(data):
-    """Plain sum of the big-endian 16-bit words of data, an odd trailing
-    byte padded with zero."""
-    if len(data) % 2:
-        data = bytes(data) + b"\x00"
-    return sum(struct.unpack("!%dH" % (len(data) // 2), data))
-
-
 def _complement(total):
-    """Fold a word sum to 16 bits with end-around carry and complement it."""
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
+    """Complemented ones'-complement sum of words whose plain sum, or
+    big-endian integer, is total: it folds to (total - 1) % 0xFFFF + 1."""
+    return 0xFFFE - (total - 1) % 0xFFFF if total else 0xFFFF
 
 
 def internet_checksum(data):
     """RFC 1071 ones-complement sum over 16-bit words, returned already
     complemented and ready to insert.  An odd trailing byte is padded with
     zero; empty (or all-zero) input yields 0xFFFF."""
-    total = int.from_bytes(data, "big") << (8 * (len(data) & 1))
-    if not total:
-        return 0xFFFF
-    # the folded sum is (total - 1) % 0xFFFF + 1, in 1..0xFFFF
-    return 0xFFFE - (total - 1) % 0xFFFF
+    return _complement(int.from_bytes(data, "big") << (8 * (len(data) & 1)))
 
 
 def mac_to_bytes(mac):
@@ -137,10 +114,6 @@ def mac_to_bytes(mac):
     if len(parts) != 6:
         raise ValueError("bad MAC address %r" % (mac,))
     return bytes(int(p, 16) for p in parts)
-
-
-def mac_from_bytes(raw):
-    return ":".join("%02x" % b for b in raw)
 
 
 def _icmp(icmp_type, code, rest):
@@ -168,10 +141,10 @@ def echo_request_template(src_ip, dst_ip, src_mac, dst_mac, icmp_id,
     ip_front = struct.pack("!BBHHH", 0x45, 0, 28 + len(payload), 0, 0)
     head = _ETH.pack(dst_mac, src_mac, ETH_TYPE_IPV4) + ip_front
     # sums of every word but TTL (the high byte of the TTL/protocol word)
-    # and the ICMP sequence number
-    ip_sum = _word_sum(ip_front + addrs) + IP_PROTO_ICMP
-    icmp_sum = _word_sum(struct.pack("!BBHH", icmp_type, 0, 0, icmp_id)
-                         + payload)
+    # and the ICMP sequence number; the ICMP sum is folded here, once
+    ip_sum = int.from_bytes(ip_front + addrs, "big") + IP_PROTO_ICMP
+    icmp = struct.pack("!BBHH", icmp_type, 0, 0, icmp_id) + payload
+    icmp_sum = 0xFFFF - internet_checksum(icmp)
     return head, addrs, ip_sum, icmp_type, icmp_sum, icmp_id, payload
 
 
@@ -185,14 +158,13 @@ def stamp_echo_request(template, icmp_seq, ttl):
         icmp_seq) + payload
 
 
-def build_echo_request(probe):
-    """ICMP Echo Request frame for one probe.  Raises PayloadTooLarge when
-    the IP datagram would not fit a 1500-byte MTU."""
+def build_echo_request(src_ip, dst_ip, src_mac, dst_mac, icmp_id=0, icmp_seq=0,
+                       ttl=64, payload=b"", icmp_type=ICMP_ECHO_REQUEST):
+    """A single frame from address strings, through a one-off template."""
     template = echo_request_template(
-        ip_to_bytes(probe.src_ip), ip_to_bytes(probe.dst_ip),
-        mac_to_bytes(probe.src_mac), mac_to_bytes(probe.dst_mac),
-        probe.icmp_id, probe.payload)
-    return stamp_echo_request(template, probe.icmp_seq, probe.ttl)
+        ip_to_bytes(src_ip), ip_to_bytes(dst_ip), mac_to_bytes(src_mac),
+        mac_to_bytes(dst_mac), icmp_id, payload, icmp_type)
+    return stamp_echo_request(template, icmp_seq, ttl)
 
 
 def build_gratuitous_arp(ip, mac):
@@ -200,15 +172,6 @@ def build_gratuitous_arp(ip, mac):
     raw_mac, raw_ip = mac_to_bytes(mac), ip_to_bytes(ip)
     body = _ARP.pack(1, ETH_TYPE_IPV4, 6, 4, 2, raw_mac, raw_ip, raw_mac, raw_ip)
     return _ETH.pack(mac_to_bytes(BROADCAST_MAC), raw_mac, ETH_TYPE_ARP) + body
-
-
-def build_router_id_query(src_ip, dst_ip, src_mac, dst_mac, icmp_id=0,
-                          icmp_seq=0, ttl=64):
-    """An Echo Request's layout, with ICMP type 200 and no payload."""
-    template = echo_request_template(
-        ip_to_bytes(src_ip), ip_to_bytes(dst_ip), mac_to_bytes(src_mac),
-        mac_to_bytes(dst_mac), icmp_id, icmp_type=ICMP_ROUTER_ID)
-    return stamp_echo_request(template, icmp_seq, ttl)
 
 
 def encode_router_identity(identity):

@@ -545,17 +545,13 @@ def load_event_log(path):
     return events
 
 
-def run_sim_switch(loop, topology, controller=None, conn=None,
-                   record_traffic=True, event_log_path=None):
-    """Start a switch on an existing connection or dial a controller."""
-    switch = SimSwitch(loop, topology, record_traffic=record_traffic,
-                       event_log_path=event_log_path)
-    if conn is None:
-        if controller is None:
-            raise ValueError("need a connection or a controller address")
-        host, _, port = controller.partition(":")
-        conn = transport.connect_tcp(loop, host, int(port or 6633))
-    switch.attach(conn)
+def run_sim_switch(loop, topology, controller=None, event_log_path=None):
+    """Dial the controller at host:port and run a switch on the connection."""
+    if controller is None:
+        raise ValueError("need a controller address")
+    host, _, port = controller.partition(":")
+    switch = SimSwitch(loop, topology, event_log_path=event_log_path)
+    switch.attach(transport.connect_tcp(loop, host, int(port or 6633)))
     return switch
 
 

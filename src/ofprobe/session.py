@@ -174,16 +174,16 @@ class SwitchSession:
         self._conn.send(encoded)
         return t_out
 
-    def install_reply_flows(self, probe_src_ip, priority=100):
+    def install_reply_flows(self, probe_src_ip):
         """Steer the three reply classes addressed to the probe source back
-        to the controller: echo replies, TTL-exceeded notices and identity
-        traffic."""
+        to the controller, at priority 100: echo replies, TTL-exceeded
+        notices and identity traffic."""
         if self.state != ACTIVE:
             raise SessionClosed("session is not active")
         for icmp_type in (ICMP_ECHO_REPLY, ICMP_TIME_EXCEEDED, ICMP_ROUTER_ID):
             match = [("eth_type", 0x0800), ("ip_proto", 1),
                      ("ipv4_dst", probe_src_ip), ("icmpv4_type", icmp_type)]
-            self._send(wire.flow_mod(self._next_xid(), priority, match))
+            self._send(wire.flow_mod(self._next_xid(), 100, match))
 
     def close(self, exc=None):
         if self.state == CLOSED:

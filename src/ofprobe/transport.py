@@ -76,13 +76,11 @@ class _VirtualEndpoint:
                            self._peer._deliver, b"")
 
 
-def virtual_pair(loop, a_to_b_delay_fn, b_to_a_delay_fn=None):
-    """Create two connected endpoints.  Delay callables return microseconds
-    for each segment in that direction."""
-    if b_to_a_delay_fn is None:
-        b_to_a_delay_fn = a_to_b_delay_fn
-    a = _VirtualEndpoint(loop, a_to_b_delay_fn)
-    b = _VirtualEndpoint(loop, b_to_a_delay_fn)
+def virtual_pair(loop, delay_fn):
+    """Create two connected endpoints.  delay_fn returns the microseconds
+    each segment takes, in either direction."""
+    a = _VirtualEndpoint(loop, delay_fn)
+    b = _VirtualEndpoint(loop, delay_fn)
     a._peer = b
     b._peer = a
     return a, b

@@ -40,7 +40,6 @@ PORT_ANY = 0xFFFFFFFF
 GROUP_ANY = 0xFFFFFFFF
 CTRL_MAX_LEN_NO_BUFFER = 0xFFFF
 
-REASON_NO_MATCH = 0
 REASON_ACTION = 1
 
 OFPFC_ADD = 0
@@ -78,9 +77,7 @@ class TruncatedMessage(WireError):
 
 
 class BadVersion(WireError):
-    def __init__(self, version):
-        super().__init__("unsupported OpenFlow version 0x%02x" % version)
-        self.version = version
+    """A foreign version byte, or a declared length below the header."""
 
 
 class UnsupportedType(WireError):
@@ -231,7 +228,6 @@ class OpenFlowMessage:
     msg_type: int
     xid: int
     body: object = b""
-    version: int = OFP_VERSION
 
 
 def hello(xid):
@@ -307,8 +303,6 @@ def _decode_actions(data, pos, end):
 def encode_message(msg):
     """Serialize an OpenFlowMessage to wire bytes.  Raises
     UnencodableMessage for a message or field the wire cannot carry."""
-    if msg.version != OFP_VERSION:
-        raise UnencodableMessage("cannot encode version 0x%02x" % msg.version)
     t = msg.msg_type
     xid = msg.xid
     body = msg.body
@@ -413,17 +407,19 @@ def decode_message(data, pos=0):
 
     Returns (OpenFlowMessage, consumed).  Raises TruncatedMessage when more
     bytes are needed or when a message's contents run past its own declared
-    length, BadVersion on a foreign version byte, and UnsupportedType (with
-    the skippable length) for types outside the supported subset.
+    length, BadVersion on a foreign version byte or a length below the
+    header, and UnsupportedType (with the skippable length) for types
+    outside the supported subset.
     """
     have = len(data) - pos
     if have < HEADER_LEN:
         raise TruncatedMessage("%d header bytes missing" % (HEADER_LEN - have))
     version, msg_type, length, xid = _HEADER.unpack_from(data, pos)
     if version != OFP_VERSION:
-        raise BadVersion(version)
+        raise BadVersion("unsupported OpenFlow version 0x%02x" % version)
     if length < HEADER_LEN:
-        raise BadVersion(version)
+        raise BadVersion("declared length %d is below the %d-byte header"
+                         % (length, HEADER_LEN))
     if have < length:
         raise TruncatedMessage("message needs %d bytes, have %d"
                                % (length, have))

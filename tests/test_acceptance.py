@@ -276,10 +276,10 @@ def test_criterion_08_router_identity_round_trip():
     # serving disabled: a query frame in through PacketIn gets no PacketOut
     quiet = VirtualStack(make_topology())
     before = len(quiet.switch.emitted)
-    quiet.switch.receive_dataplane(frames.build_router_id_query(
+    quiet.switch.receive_dataplane(frames.build_echo_request(
         src_ip="198.51.100.7", dst_ip="10.0.0.100",
         src_mac="02:aa:aa:aa:aa:01", dst_mac="02:00:00:00:00:64",
-        icmp_id=3), 1)
+        icmp_id=3, icmp_type=frames.ICMP_ROUTER_ID), 1)
     quiet.loop.run_for(1_000_000)
     silent_ok = len(quiet.switch.emitted) == before
     _report(8, query_ok and silent_ok,

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ofprobe import frames, netsim, wire
+from ofprobe import frames, netsim, transport, wire
 from ofprobe.api import render_json
 from ofprobe.engine import (
     ID_SPACE,
@@ -16,7 +16,7 @@ from ofprobe.engine import (
     corrected_rtt,
 )
 from ofprobe.eventloop import EventLoop, Future
-from ofprobe.session import ACTIVE, EchoTimeout, SessionClosed
+from ofprobe.session import ACTIVE, EchoTimeout, SessionClosed, SwitchSession
 from helpers import VirtualStack, make_topology
 
 
@@ -181,10 +181,10 @@ def test_duplicate_reply_first_wins():
     icmp_id = stack.engine.start_ping("192.0.2.1", 1)
     stack.loop.run_for(40_000)  # probe emitted, no answer coming
     # replies mirror src/dst, so source the request from the engine side
-    request = frames.build_echo_request(frames.EchoProbe(
+    request = frames.build_echo_request(
         src_ip="10.0.0.100", dst_ip="192.0.2.1",
         src_mac="02:00:00:00:00:64", dst_mac="02:bb:bb:bb:bb:bb",
-        icmp_id=icmp_id, icmp_seq=0))
+        icmp_id=icmp_id, icmp_seq=0)
     # two identical answers injected at the switch port
     reply = frames.build_echo_reply(frames.parse_icmp(request))
     stack.switch.receive_dataplane(reply, 1)
@@ -201,10 +201,10 @@ def test_reply_after_expiry_is_late():
     stack = VirtualStack(ping_topo(responds=False))
     icmp_id = stack.engine.start_ping("192.0.2.1", 1)
     stack.loop.run_for(3_500_000)  # past the 3 s probe timeout
-    request = frames.build_echo_request(frames.EchoProbe(
+    request = frames.build_echo_request(
         src_ip="10.0.0.100", dst_ip="192.0.2.1",
         src_mac="02:00:00:00:00:64", dst_mac="02:bb:bb:bb:bb:bb",
-        icmp_id=icmp_id, icmp_seq=0))
+        icmp_id=icmp_id, icmp_seq=0)
     stack.switch.receive_dataplane(
         frames.build_echo_reply(frames.parse_icmp(request)), 1)
     stack.loop.run_until_idle()
@@ -216,10 +216,10 @@ def test_reply_after_expiry_is_late():
 def test_unknown_reply_counted():
     stack = VirtualStack(ping_topo())
     stack.run_ping("192.0.2.1", 1)
-    request = frames.build_echo_request(frames.EchoProbe(
+    request = frames.build_echo_request(
         src_ip="10.0.0.100", dst_ip="192.0.2.1",
         src_mac="02:00:00:00:00:64", dst_mac="02:bb:bb:bb:bb:bb",
-        icmp_id=60_000, icmp_seq=4))
+        icmp_id=60_000, icmp_seq=4)
     stack.switch.receive_dataplane(
         frames.build_echo_reply(frames.parse_icmp(request)), 1)
     stack.loop.run_until_idle()
@@ -320,10 +320,10 @@ def count_expiry_timers(stack):
 
 
 def echo_reply_for(icmp_id, seq):
-    request = frames.build_echo_request(frames.EchoProbe(
+    request = frames.build_echo_request(
         src_ip="10.0.0.100", dst_ip="192.0.2.1",
         src_mac="02:00:00:00:00:64", dst_mac="02:bb:bb:bb:bb:bb",
-        icmp_id=icmp_id, icmp_seq=seq))
+        icmp_id=icmp_id, icmp_seq=seq)
     return frames.build_echo_reply(frames.parse_icmp(request))
 
 
@@ -615,9 +615,10 @@ def test_served_query_is_parsed_once(monkeypatch):
     stack = VirtualStack(make_topology())
     stack.engine.set_router_config(True,
                                    frames.RouterIdentity(64512, "vantage-1"))
-    query = frames.build_router_id_query(
+    query = frames.build_echo_request(
         src_ip="198.51.100.7", dst_ip="10.0.0.100",
-        src_mac="02:aa:aa:aa:aa:01", dst_mac="02:00:00:00:00:64", icmp_id=9)
+        src_mac="02:aa:aa:aa:aa:01", dst_mac="02:00:00:00:00:64", icmp_id=9,
+        icmp_type=frames.ICMP_ROUTER_ID)
     parsed = []
     icmp_view = frames._icmp_view
     monkeypatch.setattr(frames, "_icmp_view",
@@ -631,9 +632,10 @@ def test_router_id_serving_when_enabled():
     stack = VirtualStack(make_topology())
     stack.engine.set_router_config(True,
                                    frames.RouterIdentity(64512, "vantage-1"))
-    query = frames.build_router_id_query(
+    query = frames.build_echo_request(
         src_ip="198.51.100.7", dst_ip="10.0.0.100",
-        src_mac="02:aa:aa:aa:aa:01", dst_mac="02:00:00:00:00:64", icmp_id=9)
+        src_mac="02:aa:aa:aa:aa:01", dst_mac="02:00:00:00:00:64", icmp_id=9,
+        icmp_type=frames.ICMP_ROUTER_ID)
     stack.switch.receive_dataplane(query, 1)
     stack.loop.run_until_idle()
     assert stack.engine.counters["router_id_served"] == 1
@@ -648,10 +650,10 @@ def test_served_identity_reply_bytes_are_unchanged():
     stack = VirtualStack(make_topology())
     stack.engine.set_router_config(True,
                                    frames.RouterIdentity(64512, "vantage-1"))
-    query = frames.build_router_id_query(
+    query = frames.build_echo_request(
         src_ip="198.51.100.7", dst_ip="10.0.0.100",
         src_mac="02:aa:aa:aa:aa:01", dst_mac="02:00:00:00:00:64", icmp_id=9,
-        icmp_seq=4)
+        icmp_seq=4, icmp_type=frames.ICMP_ROUTER_ID)
     stack.switch.receive_dataplane(query, 1)
     stack.loop.run_until_idle()
     _t, port, served = stack.switch.emitted[-1]
@@ -663,9 +665,10 @@ def test_served_identity_reply_bytes_are_unchanged():
 
 def test_router_id_serving_disabled_by_default():
     stack = VirtualStack(make_topology())
-    query = frames.build_router_id_query(
+    query = frames.build_echo_request(
         src_ip="198.51.100.7", dst_ip="10.0.0.100",
-        src_mac="02:aa:aa:aa:aa:01", dst_mac="02:00:00:00:00:64", icmp_id=9)
+        src_mac="02:aa:aa:aa:aa:01", dst_mac="02:00:00:00:00:64", icmp_id=9,
+        icmp_type=frames.ICMP_ROUTER_ID)
     before = len(stack.switch.emitted)
     stack.switch.receive_dataplane(query, 1)
     stack.loop.run_for(1_000_000)
@@ -693,7 +696,7 @@ class FakeSession:
         self.echoes_sent = 0
         self.pending = []
 
-    def install_reply_flows(self, src_ip, priority=100):
+    def install_reply_flows(self, src_ip):
         pass
 
     def send_probe(self, out_port, frame):
@@ -774,6 +777,41 @@ def test_newer_session_replaces_older():
     # the old session going away must not detach the new one
     engine._on_session_closed(old, None)
     assert engine.session is new
+
+
+def echo_probes(switch):
+    return [t for t, _port, frame in switch.emitted
+            if frames.match_fields(frame).get("icmpv4_type") == 8]
+
+
+def test_a_task_keeps_the_switch_it_started_on():
+    """A second switch dials in mid-task and the engine attaches it; the
+    task's probes and emission echoes still all go through the first."""
+    near, far = ping_topo(), ping_topo()
+    near.control_link = netsim.ConstantDelay(1000)
+    far.control_link = netsim.ConstantDelay(30_000)
+    stack = VirtualStack(near)
+    icmp_id = stack.engine.start_ping("192.0.2.1", 10, gap_us=20_000)
+    stack.loop.run_for(25_000)
+    ctrl_end, sw_end = transport.virtual_pair(
+        stack.loop, lambda: far.control_link.us)
+    session = SwitchSession(stack.loop, ctrl_end)
+    second = netsim.SimSwitch(stack.loop, far)
+    second.attach(sw_end)
+    attached_at = []
+
+    def attach(_fut):
+        attached_at.append(stack.loop.now_us())
+        stack.engine.attach_session(session)
+
+    session.ready.add_done_callback(attach)
+    stack.loop.run_until_idle()
+    first_probes = echo_probes(stack.switch)
+    assert (len(first_probes), echo_probes(second)) == (10, [])
+    assert stack.engine.session is session
+    assert attached_at[0] < first_probes[6]  # before the seventh probe
+    # 1 ms each way: start snapshot and nine emission echoes of 2 ms
+    assert stack.engine.dump_ping()[str(icmp_id)]["rtt_cs_us"] == 2000.0
 
 
 # -- control-channel samples with spaced emissions -------------------------------
@@ -1063,9 +1101,9 @@ def reply_frame(kind, icmp_id, seq):
     """A reply of kind to probe (icmp_id, seq), built as a target or a
     router on the path would."""
     if kind in ("identity", "bad_identity"):
-        query = frames.build_router_id_query("10.0.0.100", "203.0.113.5",
-                                             icmp_id=icmp_id, icmp_seq=seq,
-                                             **RID_MACS)
+        query = frames.build_echo_request(
+            "10.0.0.100", "203.0.113.5", icmp_id=icmp_id, icmp_seq=seq,
+            icmp_type=frames.ICMP_ROUTER_ID, **RID_MACS)
         reply = bytearray(frames.build_router_id_reply(
             frames.parse_icmp(query), frames.RouterIdentity(65001, "rtr-1")))
         if kind == "bad_identity":
@@ -1074,9 +1112,9 @@ def reply_frame(kind, icmp_id, seq):
             reply[36:38] = frames.internet_checksum(
                 bytes(reply[34:])).to_bytes(2, "big")
         return bytes(reply)
-    probe = frames.build_echo_request(frames.EchoProbe(
+    probe = frames.build_echo_request(
         "10.0.0.100", "192.0.2.9", icmp_id=icmp_id, icmp_seq=seq,
-        **RID_MACS))
+        **RID_MACS)
     view = frames.parse_icmp(probe)
     if kind == "echo":
         return frames.build_echo_reply(view)

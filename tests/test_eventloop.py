@@ -228,6 +228,36 @@ def test_realtime_loop_runs_timers_and_threadsafe_calls():
     loop.close()
 
 
+def run_realtime_until(loop, when_us):
+    loop.call_at(when_us, loop.stop)
+    try:
+        loop.run_forever()
+    finally:
+        loop.close()
+
+
+def test_realtime_timers_due_together_run_first_in_first_out():
+    loop = EventLoop(realtime=True)
+    seen = []
+    due = loop.now_us() + 20_000
+    handles = [loop.call_at(due + i % 2, seen.append, i) for i in range(8)]
+    handles[0].cancel()  # at the head of the queue while the loop waits
+    handles[5].cancel()
+    run_realtime_until(loop, due + 2)
+    assert seen == [2, 4, 6, 1, 3, 7]
+
+
+def test_realtime_timer_cancelled_by_a_timer_due_with_it_never_runs():
+    loop = EventLoop(realtime=True)
+    seen = []
+    due = loop.now_us() + 20_000
+    loop.call_at(due, lambda: victim.cancel())
+    victim = loop.call_at(due, seen.append, "cancelled")
+    loop.call_at(due, seen.append, "kept")
+    run_realtime_until(loop, due + 1)
+    assert seen == ["kept"]
+
+
 def test_realtime_tcp_round_trip():
     loop = EventLoop(realtime=True)
     got = queue.Queue()

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from ofprobe import frames
 from ofprobe.wire import ip_from_bytes, ip_to_bytes
 from ofprobe.frames import (
-    EchoProbe,
     MalformedFrame,
     PayloadTooLarge,
     ReplyKind,
@@ -26,9 +25,9 @@ GARP_FIXTURE = bytes.fromhex(
     "0200000000640a000064")
 RID_PAYLOAD_FIXTURE = bytes.fromhex("0000fde90a636f72652d7274722d31")
 
-PROBE = EchoProbe(src_ip="10.0.0.100", dst_ip="192.0.2.1",
-                  src_mac="02:00:00:00:00:64", dst_mac="02:00:00:00:00:01",
-                  icmp_id=0x1234, icmp_seq=7, payload=b"abc")
+PROBE = dict(src_ip="10.0.0.100", dst_ip="192.0.2.1",
+             src_mac="02:00:00:00:00:64", dst_mac="02:00:00:00:00:01",
+             icmp_id=0x1234, icmp_seq=7, payload=b"abc")
 
 
 # -- checksum ---------------------------------------------------------------
@@ -91,49 +90,45 @@ def test_checksum_self_verifies(data):
 
 
 def test_echo_request_matches_fixture():
-    assert frames.build_echo_request(PROBE) == ECHO_FIXTURE
+    assert frames.build_echo_request(**PROBE) == ECHO_FIXTURE
 
 
 def test_echo_request_checksums_verify():
-    frame = frames.build_echo_request(PROBE)
+    frame = frames.build_echo_request(**PROBE)
     assert internet_checksum(frame[14:34]) == 0
     assert internet_checksum(frame[34:]) == 0
 
 
 def test_echo_request_respects_ttl():
-    short = frames.build_echo_request(
-        EchoProbe(**{**PROBE.__dict__, "ttl": 3}))
+    short = frames.build_echo_request(**{**PROBE, "ttl": 3})
     assert short[14 + 8] == 3
 
 
 def test_payload_cap_is_the_mtu():
     limit = 1500 - 20 - 8
-    frames.build_echo_request(EchoProbe(**{**PROBE.__dict__,
-                                           "payload": bytes(limit)}))
+    frames.build_echo_request(**{**PROBE, "payload": bytes(limit)})
     with pytest.raises(PayloadTooLarge):
-        frames.build_echo_request(EchoProbe(**{**PROBE.__dict__,
-                                               "payload": bytes(limit + 1)}))
+        frames.build_echo_request(**{**PROBE, "payload": bytes(limit + 1)})
 
 
-def assemble_echo_request(probe):
+def assemble_echo_request(src_ip, dst_ip, src_mac, dst_mac, icmp_id,
+                          icmp_seq, payload=b"", ttl=64):
     """Echo Request put together field by field, both checksums taken over
     the whole header with word_loop_checksum."""
-    icmp = struct.pack("!BBHHH", 8, 0, 0, probe.icmp_id,
-                       probe.icmp_seq) + probe.payload
+    icmp = struct.pack("!BBHHH", 8, 0, 0, icmp_id, icmp_seq) + payload
     icmp = icmp[:2] + struct.pack("!H", word_loop_checksum(icmp)) + icmp[4:]
-    ip = struct.pack("!BBHHHBBH4s4s", 0x45, 0, 20 + len(icmp), 0, 0,
-                     probe.ttl, 1, 0, socket.inet_aton(probe.src_ip),
-                     socket.inet_aton(probe.dst_ip))
+    ip = struct.pack("!BBHHHBBH4s4s", 0x45, 0, 20 + len(icmp), 0, 0, ttl, 1,
+                     0, socket.inet_aton(src_ip), socket.inet_aton(dst_ip))
     ip = ip[:10] + struct.pack("!H", word_loop_checksum(ip)) + ip[12:]
-    eth = (bytes.fromhex(probe.dst_mac.replace(":", ""))
-           + bytes.fromhex(probe.src_mac.replace(":", "")) + b"\x08\x00")
+    eth = (bytes.fromhex(dst_mac.replace(":", ""))
+           + bytes.fromhex(src_mac.replace(":", "")) + b"\x08\x00")
     return eth + ip + icmp
 
 
 # a template takes its addresses as the bytes on the wire
-RAW_ADDRESSES = (ip_to_bytes(PROBE.src_ip), ip_to_bytes(PROBE.dst_ip),
-                 frames.mac_to_bytes(PROBE.src_mac),
-                 frames.mac_to_bytes(PROBE.dst_mac))
+RAW_ADDRESSES = (ip_to_bytes(PROBE["src_ip"]), ip_to_bytes(PROBE["dst_ip"]),
+                 frames.mac_to_bytes(PROBE["src_mac"]),
+                 frames.mac_to_bytes(PROBE["dst_mac"]))
 
 
 @given(icmp_id=st.integers(0, 0xFFFF),
@@ -147,11 +142,10 @@ def test_template_frames_match_the_reference(icmp_id, stamps, payload_len,
     template = frames.echo_request_template(*RAW_ADDRESSES, icmp_id, payload)
     # one template serves every probe of a task
     for seq, ttl in stamps:
-        probe = EchoProbe(**{**PROBE.__dict__, "icmp_id": icmp_id,
-                             "icmp_seq": seq, "ttl": ttl, "payload": payload})
-        frame = frames.stamp_echo_request(template, seq, ttl)
-        assert frame == frames.build_echo_request(probe)
-        assert frame == assemble_echo_request(probe)
+        assert frames.stamp_echo_request(template, seq, ttl) == \
+            assemble_echo_request(**{**PROBE, "icmp_id": icmp_id,
+                                     "icmp_seq": seq, "ttl": ttl,
+                                     "payload": payload})
 
 
 def test_template_refuses_an_oversized_payload():
@@ -170,7 +164,7 @@ def test_gratuitous_arp_matches_fixture():
 
 
 def test_echo_reply_round_trip():
-    request = frames.build_echo_request(PROBE)
+    request = frames.build_echo_request(**PROBE)
     reply = frames.build_echo_reply(frames.parse_icmp(request))
     parsed = frames.parse_reply(reply)
     assert parsed.kind == ReplyKind.ECHO_REPLY
@@ -181,7 +175,7 @@ def test_echo_reply_round_trip():
 
 
 def test_time_exceeded_quotes_the_probe():
-    request = frames.build_echo_request(PROBE)
+    request = frames.build_echo_request(**PROBE)
     te = frames.build_time_exceeded("10.9.9.9", request,
                                     frames.parse_icmp(request))
     parsed = frames.parse_reply(te)
@@ -193,7 +187,7 @@ def test_time_exceeded_quotes_the_probe():
 
 
 def test_time_exceeded_quote_is_header_plus_8():
-    request = frames.build_echo_request(PROBE)
+    request = frames.build_echo_request(**PROBE)
     te = frames.build_time_exceeded("10.9.9.9", request,
                                     frames.parse_icmp(request))
     quote = frames.parse_reply(te).payload
@@ -203,10 +197,11 @@ def test_time_exceeded_quote_is_header_plus_8():
 
 
 def test_replies_swap_the_request_ethernet_addresses():
-    request = frames.build_echo_request(PROBE)
-    query = frames.build_router_id_query(
+    request = frames.build_echo_request(**PROBE)
+    query = frames.build_echo_request(
         src_ip="10.0.0.100", dst_ip="203.0.113.5",
-        src_mac="02:00:00:00:00:64", dst_mac="02:00:00:00:00:01")
+        src_mac="02:00:00:00:00:64", dst_mac="02:00:00:00:00:01",
+        icmp_type=frames.ICMP_ROUTER_ID)
     for sent, reply in (
             (request, frames.build_echo_reply(frames.parse_icmp(request))),
             (request, frames.build_time_exceeded(
@@ -219,12 +214,12 @@ def test_replies_swap_the_request_ethernet_addresses():
 
 
 def test_probe_request_is_not_a_reply():
-    parsed = frames.parse_reply(frames.build_echo_request(PROBE))
+    parsed = frames.parse_reply(frames.build_echo_request(**PROBE))
     assert parsed.kind == ReplyKind.OTHER
 
 
 def test_corrupt_checksum_classified_other():
-    request = frames.build_echo_request(PROBE)
+    request = frames.build_echo_request(**PROBE)
     reply = bytearray(frames.build_echo_reply(frames.parse_icmp(request)))
     reply[-1] ^= 0xFF
     assert frames.parse_reply(bytes(reply)).kind == ReplyKind.OTHER
@@ -235,7 +230,7 @@ def test_arp_classified_other():
 
 
 def test_truncated_frame_raises():
-    request = frames.build_echo_request(PROBE)
+    request = frames.build_echo_request(**PROBE)
     with pytest.raises(MalformedFrame):
         frames.parse_reply(request[:20])
     with pytest.raises(MalformedFrame):
@@ -284,10 +279,10 @@ def test_identity_validation():
 
 
 def test_identity_query_reply_exchange():
-    query = frames.build_router_id_query(
+    query = frames.build_echo_request(
         src_ip="10.0.0.100", dst_ip="203.0.113.5",
         src_mac="02:00:00:00:00:64", dst_mac="02:00:00:00:00:01",
-        icmp_id=41, icmp_seq=2)
+        icmp_id=41, icmp_seq=2, icmp_type=frames.ICMP_ROUTER_ID)
     parsed = frames.parse_reply(query)
     assert parsed.kind == ReplyKind.ROUTER_ID_QUERY
     view = parsed.view
@@ -304,7 +299,7 @@ def test_identity_query_reply_exchange():
     assert parsed.payload == RID_PAYLOAD_FIXTURE
     # an echo request or a damaged query is not a query
     assert frames.parse_reply(
-        frames.build_echo_request(PROBE)).kind == ReplyKind.OTHER
+        frames.build_echo_request(**PROBE)).kind == ReplyKind.OTHER
     damaged = bytearray(query)
     damaged[-1] ^= 0xFF
     assert frames.parse_reply(bytes(damaged)).kind == ReplyKind.OTHER
@@ -325,17 +320,18 @@ def test_identity_query_matches_a_field_by_field_assembly(
                      src_ip, dst_ip)
     ip = ip[:10] + struct.pack("!H", internet_checksum(ip)) + ip[12:]
     expected = dst_mac + src_mac + b"\x08\x00" + ip + icmp
-    assert frames.build_router_id_query(
-        socket.inet_ntoa(src_ip), socket.inet_ntoa(dst_ip),
-        frames.mac_from_bytes(src_mac), frames.mac_from_bytes(dst_mac),
-        icmp_id, seq, ttl) == expected
+    # built as the engine builds a query: a template, then one stamp
+    template = frames.echo_request_template(src_ip, dst_ip, src_mac, dst_mac,
+                                            icmp_id,
+                                            icmp_type=frames.ICMP_ROUTER_ID)
+    assert frames.stamp_echo_request(template, seq, ttl) == expected
 
 
 # -- flow-table field extraction ----------------------------------------------
 
 
 def test_match_fields_of_probe():
-    fields = frames.match_fields(frames.build_echo_request(PROBE))
+    fields = frames.match_fields(frames.build_echo_request(**PROBE))
     assert fields == {"eth_type": 0x0800, "ip_proto": 1,
                       "ipv4_dst": "192.0.2.1", "icmpv4_type": 8,
                       "icmpv4_code": 0}
@@ -350,7 +346,7 @@ def test_match_fields_of_garbage():
 
 
 def test_mac_helpers_round_trip():
-    assert frames.mac_from_bytes(
-        frames.mac_to_bytes("02:00:00:00:00:64")) == "02:00:00:00:00:64"
+    assert frames.mac_to_bytes("02:00:00:00:00:64") == \
+        bytes.fromhex("020000000064")
     with pytest.raises(ValueError):
         frames.mac_to_bytes("02:00:00")

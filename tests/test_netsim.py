@@ -15,8 +15,8 @@ PROBE_KW = dict(src_ip="10.0.0.100", src_mac="02:00:00:00:00:64",
 
 
 def echo_frame(dst_ip, ttl=64, icmp_id=1, seq=0):
-    return frames.build_echo_request(frames.EchoProbe(
-        dst_ip=dst_ip, icmp_id=icmp_id, icmp_seq=seq, ttl=ttl, **PROBE_KW))
+    return frames.build_echo_request(
+        dst_ip=dst_ip, icmp_id=icmp_id, icmp_seq=seq, ttl=ttl, **PROBE_KW)
 
 
 # -- durations and delay models ------------------------------------------------
@@ -251,9 +251,10 @@ def test_dataplane_arp_sinks_silently():
 
 def test_dataplane_identity_host_answers():
     topo = make_dataplane_topo()
-    query = frames.build_router_id_query(
+    query = frames.build_echo_request(
         src_ip="10.0.0.100", dst_ip="203.0.113.5",
-        src_mac="02:00:00:00:00:64", dst_mac="02:00:00:00:00:01", icmp_id=5)
+        src_mac="02:00:00:00:00:64", dst_mac="02:00:00:00:00:01", icmp_id=5,
+        icmp_type=frames.ICMP_ROUTER_ID)
     out = netsim.dataplane_process(topo, query, 100, random.Random(0))
     reply, at = out[0]
     assert at == 100 + 9000
@@ -392,10 +393,10 @@ def test_flow_match_misses_on_any_field():
     h.loop.run_until_idle()
     # right type, wrong destination: probe sourced from a foreign address
     stray = frames.build_echo_reply(frames.parse_icmp(
-        frames.build_echo_request(frames.EchoProbe(
+        frames.build_echo_request(
             dst_ip="192.0.2.50", icmp_id=1, icmp_seq=0,
             src_ip="10.0.0.200", src_mac="02:aa:aa:aa:aa:aa",
-            dst_mac="02:00:00:00:00:64"))))
+            dst_mac="02:00:00:00:00:64")))
     assert h.switch._best_match(stray) is None
     # and the probe request itself (type 8) never matches reply flows
     assert h.switch._best_match(echo_frame("192.0.2.50")) is None

@@ -268,7 +268,7 @@ def test_install_reply_flows_covers_reply_types():
     loop = EventLoop()
     session, peer = make_session(loop)
     complete_handshake(loop, session, peer)
-    session.install_reply_flows("10.0.0.100", priority=77)
+    session.install_reply_flows("10.0.0.100")
     loop.run_until_idle()
     mods = [m for m in peer.received if m.msg_type == wire.OFPT_FLOW_MOD]
     assert len(mods) == 3
@@ -279,7 +279,7 @@ def test_install_reply_flows_covers_reply_types():
         assert match["eth_type"] == 0x0800
         assert match["ip_proto"] == 1
         assert match["ipv4_dst"] == "10.0.0.100"
-        assert m.body.priority == 77
+        assert m.body.priority == 100
         assert m.body.out_port == wire.PORT_CONTROLLER
 
 

@@ -118,9 +118,11 @@ def test_foreign_version_raises():
 
 def test_length_below_header_is_desync():
     # A length field smaller than the fixed header cannot be skipped over;
-    # the stream has lost framing.
-    with pytest.raises(wire.BadVersion):
+    # the stream has lost framing.  The version is fine, so the message
+    # names the length instead.
+    with pytest.raises(wire.BadVersion) as exc:
         wire.decode_message(bytes.fromhex("0400000400000001"))
+    assert str(exc.value) == "declared length 4 is below the 8-byte header"
 
 
 def test_unsupported_type_reports_skippable_length():
