@@ -66,6 +66,7 @@ with StateFull until then.
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import frames, wire
 from .frames import ICMP_ECHO_REQUEST, ICMP_ROUTER_ID, ReplyKind
@@ -253,7 +254,7 @@ class MeasurementEngine:
         """Adopt an active switch session: steer replies here and take over
         its PacketIn feed.  The engine drives one switch at a time; a newer
         session replaces the old one."""
-        session.packet_in_handler = self._on_packet_in
+        session.packet_in_handler = partial(self._on_packet_in, session)
         session.close_handler = self._on_session_closed
         session.install_reply_flows(self.settings.src_ip)
         self._session = session
@@ -437,10 +438,12 @@ class MeasurementEngine:
 
     # -- reply handling -----------------------------------------------------------
 
-    def _on_packet_in(self, frame, t_in, in_port):
+    def _on_packet_in(self, session, frame, t_in, in_port):
         """The one reply matcher: the reply's kind names the task tables to
         search by id and the filler that fills the record and applies the
-        kind's effect.  Every frame ends in one record or one counter."""
+        kind's effect.  Every frame ends in one record or one counter.  A
+        served identity query is answered through the session it came in
+        on, which is active while it delivers PacketIns."""
         try:
             reply = frames.parse_reply(frame)
         except frames.MalformedFrame:
@@ -455,8 +458,8 @@ class MeasurementEngine:
                     return
             self.counters["unknown_replies"] += 1
         elif (reply.kind == ReplyKind.ROUTER_ID_QUERY and self.router_id_serve
-              and self.router_identity is not None and self.session_active()):
-            self._session.send_probe(in_port, frames.build_router_id_reply(
+              and self.router_identity is not None):
+            session.send_probe(in_port, frames.build_router_id_reply(
                 reply.view, self.router_identity))
             self.counters["router_id_served"] += 1
         else:

@@ -360,7 +360,6 @@ class FlowRule:
     priority: int
     seqno: int
     match: object  # items view; a subset of a frame's fields is a match
-    out_port: int
 
 
 class SimSwitch:
@@ -446,15 +445,13 @@ class SimSwitch:
     def _dispatch(self, msg, bundled):
         t = msg.msg_type
         if t == wire.OFPT_FEATURES_REQUEST:
-            self._send(wire.features_reply(msg.xid, self.topology.dpid,
-                                           n_buffers=0, n_tables=254))
+            self._send(wire.features_reply(msg.xid, self.topology.dpid))
         elif t == wire.OFPT_ECHO_REQUEST:
             self._send(wire.echo_reply(msg.xid, msg.body))
         elif t == wire.OFPT_FLOW_MOD:
             self._rule_seq += 1
             self.flow_rules.append(FlowRule(msg.body.priority, self._rule_seq,
-                                            dict(msg.body.match).items(),
-                                            msg.body.out_port))
+                                            dict(msg.body.match).items()))
         elif t == wire.OFPT_PACKET_OUT:
             self._handle_packet_out(msg.body, bundled)
 
@@ -467,8 +464,7 @@ class SimSwitch:
             delay += self.topology.bundle_penalty_us
         emit_at = max(now + delay, self._last_emit_us)
         self._last_emit_us = emit_at
-        port = body.actions[0].port if body.actions else 0
-        self.loop.call_at(emit_at, self._emit, body.frame, port)
+        self.loop.call_at(emit_at, self._emit, body.frame, body.out_port)
 
     def _emit(self, frame, port):
         now = self.loop.now_us()
@@ -545,13 +541,13 @@ def load_event_log(path):
     return events
 
 
-def run_sim_switch(loop, topology, controller=None, event_log_path=None):
-    """Dial the controller at host:port and run a switch on the connection."""
-    if controller is None:
-        raise ValueError("need a controller address")
+def run_sim_switch(loop, topology, controller, event_log_path=None):
+    """Dial the controller at host:port and run a switch on the connection.
+    The event log is opened only once the dial succeeded."""
     host, _, port = controller.partition(":")
+    conn = transport.connect_tcp(loop, host, int(port or 6633))
     switch = SimSwitch(loop, topology, event_log_path=event_log_path)
-    switch.attach(transport.connect_tcp(loop, host, int(port or 6633)))
+    switch.attach(conn)
     return switch
 
 

@@ -105,7 +105,7 @@ class SwitchSession:
                 self._send(wire.features_request(self._next_xid()))
         elif t == wire.OFPT_FEATURES_REPLY:
             if self.state == HANDSHAKE_PENDING:
-                self.datapath_id = msg.body.datapath_id
+                self.datapath_id = msg.body
                 self.state = ACTIVE
                 self._hs_timer.cancel()
                 log.info("switch %#x active", self.datapath_id)

@@ -1,10 +1,19 @@
-"""OpenFlow 1.3 wire codec for the message subset the platform exchanges.
+"""OpenFlow 1.3 wire codec for the messages the controller and the
+simulated switch exchange, carrying only the fields the two of them read.
 
-Everything is big-endian.  Eight message kinds are understood: HELLO,
-ECHO_REQUEST, ECHO_REPLY, FEATURES_REQUEST, FEATURES_REPLY, PACKET_IN,
-PACKET_OUT and FLOW_MOD.  Any other type decodes to an UnsupportedType
-error that still reports the byte length, so a stream reader can skip the
-message and stay in sync.
+Everything is big-endian.  Eight message kinds are understood.  HELLO,
+ECHO_REQUEST, ECHO_REPLY and FEATURES_REQUEST carry their body bytes,
+FEATURES_REPLY the datapath id, PACKET_OUT PacketOutBody(out_port, frame),
+PACKET_IN PacketInBody(in_port, frame) and FLOW_MOD FlowModBody(priority,
+match): an add whose one action outputs to CONTROLLER, matching at most
+once on each of eth_type, ip_proto, ipv4_dst, icmpv4_type and icmpv4_code.
+Every other field is written as the constant the program sends (no
+buffer, reason ACTION, table and cookie 0, 254 tables, no capabilities)
+and skipped on decode.  A FlowMod with another command, match or action,
+a PacketOut with other than one output action, a PacketIn without in_port
+and any other type decode as UnsupportedType, which still reports the
+byte length so a stream reader can skip the message and stay in sync.  A
+flow match outside the subset does not encode.
 
 Encoding leaves the range checks to ``struct``: a field that is negative,
 not an integer or too wide for its slot makes the pack fail, and
@@ -50,19 +59,23 @@ _MATCH_TYPE_OXM = 1
 
 _HEADER = struct.Struct("!BBHI")
 _FEATURES_BODY = struct.Struct("!QIBB2xII")
-_PACKET_IN_FIXED = struct.Struct("!IHBBQ")
 # A PacketIn as this codec writes it, up to the frame: header, fixed body,
 # a match holding only in_port (type, length 12, one 4-byte OXM, 4 bytes of
 # padding) and the 2 pad bytes before the frame.
 _PACKET_IN_HEAD = struct.Struct("!BBHIIHBBQHHHBBI4x2x")
-_PACKET_OUT_FIXED = struct.Struct("!IIH6x")
-_PACKET_OUT_HEAD = struct.Struct("!BBHIIIH6x")
+_PACKET_IN_FIXED_LEN = 16
+# A PacketOut up to the frame: header, fixed body and one output action.
+_PACKET_OUT_HEAD = struct.Struct("!BBHIIIH6xHHIH6x")
+_PACKET_OUT_FIXED = struct.Struct("!8xH6x")
 _FLOW_MOD_FIXED = struct.Struct("!QQBBHHHIIIH2x")
 _ACTION_OUTPUT_STRUCT = struct.Struct("!HHIH6x")
 _OXM_HEADER = struct.Struct("!HBB")
 _TYPE_LEN = struct.Struct("!HH")
 _INSTR_HEADER = struct.Struct("!HH4x")
-
+# A FlowMod's one instruction: apply one output action to the controller.
+_TO_CONTROLLER = _INSTR_HEADER.pack(_INSTR_APPLY_ACTIONS, 24) \
+    + _ACTION_OUTPUT_STRUCT.pack(_ACTION_OUTPUT, 16, PORT_CONTROLLER,
+                                 CTRL_MAX_LEN_NO_BUFFER)
 
 class WireError(Exception):
     """Base class for codec failures."""
@@ -120,6 +133,13 @@ _MATCH_FIELDS = {
 _FIELD_BY_ID = {fid: (name, length) for name, (fid, length) in _MATCH_FIELDS.items()}
 
 
+def _is_flow_match(names):
+    """A flow match names only fields the codec knows, not in_port, each at
+    most once."""
+    return (len(set(names)) == len(names) and "in_port" not in names
+            and all(name in _MATCH_FIELDS for name in names))
+
+
 def _encode_match_value(name, value):
     fid, length = _MATCH_FIELDS[name]
     if name == "ipv4_dst":
@@ -132,6 +152,8 @@ def _encode_match_value(name, value):
 
 
 def _encode_match(fields):
+    if not _is_flow_match([name for name, _value in fields]):
+        raise UnencodableMessage("unsupported flow match %r" % (fields,))
     oxms = b"".join(_encode_match_value(name, value) for name, value in fields)
     length = 4 + len(oxms)
     pad = (-length) % 8
@@ -170,57 +192,39 @@ def _decode_match(data, pos, end):
     return pairs, match_end + ((-mlen) % 8)
 
 
-@dataclass(slots=True)
-class OutputAction:
-    port: int
-    max_len: int = CTRL_MAX_LEN_NO_BUFFER
-
-
-@dataclass(slots=True)
-class FeaturesReplyBody:
-    datapath_id: int
-    n_buffers: int = 0
-    n_tables: int = 254
-    auxiliary_id: int = 0
-    capabilities: int = 0
-    reserved: int = 0
+def _output_port(data, pos, end):
+    """The port of the one output action in data[pos:end], or None when
+    there is no action, more than one or one of another kind."""
+    port = None
+    while pos < end:
+        if pos + 4 > end:
+            raise TruncatedMessage("action header runs past body")
+        atype, alen = _TYPE_LEN.unpack_from(data, pos)
+        if alen < 8 or pos + alen > end:
+            raise TruncatedMessage("action length runs past body")
+        if atype != _ACTION_OUTPUT or alen != 16 or port is not None:
+            return None
+        port = _ACTION_OUTPUT_STRUCT.unpack_from(data, pos)[2]
+        pos += alen
+    return port
 
 
 @dataclass(slots=True)
 class PacketOutBody:
-    in_port: int
-    actions: list
+    out_port: int
     frame: bytes
-    buffer_id: int = NO_BUFFER
 
 
 @dataclass(slots=True)
 class PacketInBody:
-    buffer_id: int
-    total_len: int
-    reason: int
-    table_id: int
-    cookie: int
     in_port: int
     frame: bytes
 
 
 @dataclass(slots=True)
 class FlowModBody:
-    cookie: int
     priority: int
     match: list
-    out_port: int = PORT_CONTROLLER
-    max_len: int = CTRL_MAX_LEN_NO_BUFFER
-
-    def __post_init__(self):
-        seen = set()
-        for name, _value in self.match:
-            if name not in _MATCH_FIELDS or name == "in_port":
-                raise ValueError("unsupported flow match field %r" % (name,))
-            if name in seen:
-                raise ValueError("duplicate flow match field %r" % (name,))
-            seen.add(name)
 
 
 @dataclass(slots=True)
@@ -246,58 +250,23 @@ def features_request(xid):
     return OpenFlowMessage(OFPT_FEATURES_REQUEST, xid)
 
 
-def features_reply(xid, datapath_id, **kwargs):
-    return OpenFlowMessage(OFPT_FEATURES_REPLY, xid,
-                           FeaturesReplyBody(datapath_id, **kwargs))
+def features_reply(xid, datapath_id):
+    return OpenFlowMessage(OFPT_FEATURES_REPLY, xid, datapath_id)
 
 
-def packet_out(xid, out_port, frame, in_port=PORT_CONTROLLER):
-    body = PacketOutBody(in_port=in_port, actions=[OutputAction(out_port)],
-                         frame=bytes(frame))
-    return OpenFlowMessage(OFPT_PACKET_OUT, xid, body)
+def packet_out(xid, out_port, frame):
+    return OpenFlowMessage(OFPT_PACKET_OUT, xid,
+                           PacketOutBody(out_port, bytes(frame)))
 
 
-def packet_in(xid, in_port, frame, reason=REASON_ACTION, table_id=0,
-              cookie=0, total_len=None):
-    body = PacketInBody(buffer_id=NO_BUFFER,
-                        total_len=len(frame) if total_len is None else total_len,
-                        reason=reason, table_id=table_id, cookie=cookie,
-                        in_port=in_port, frame=bytes(frame))
-    return OpenFlowMessage(OFPT_PACKET_IN, xid, body)
+def packet_in(xid, in_port, frame):
+    return OpenFlowMessage(OFPT_PACKET_IN, xid,
+                           PacketInBody(in_port, bytes(frame)))
 
 
-def flow_mod(xid, priority, match, cookie=0):
+def flow_mod(xid, priority, match):
     return OpenFlowMessage(OFPT_FLOW_MOD, xid,
-                           FlowModBody(cookie=cookie, priority=priority,
-                                       match=list(match)))
-
-
-def _encode_actions(actions):
-    out = []
-    for act in actions:
-        if not isinstance(act, OutputAction):
-            raise UnencodableMessage("only output actions can be encoded")
-        out.append(_ACTION_OUTPUT_STRUCT.pack(_ACTION_OUTPUT, 16, act.port,
-                                              act.max_len))
-    return b"".join(out)
-
-
-def _decode_actions(data, pos, end):
-    """The output actions in data[pos:end], or None when any other action
-    is present."""
-    actions = []
-    while pos < end:
-        if pos + 4 > end:
-            raise TruncatedMessage("action header runs past body")
-        atype, alen = _TYPE_LEN.unpack_from(data, pos)
-        if alen < 8 or pos + alen > end:
-            raise TruncatedMessage("action length runs past body")
-        if atype != _ACTION_OUTPUT or alen != 16:
-            return None
-        _t, _l, port, max_len = _ACTION_OUTPUT_STRUCT.unpack_from(data, pos)
-        actions.append(OutputAction(port, max_len))
-        pos += alen
-    return actions
+                           FlowModBody(priority, list(match)))
 
 
 def encode_message(msg):
@@ -308,39 +277,30 @@ def encode_message(msg):
     body = msg.body
     try:
         if t == OFPT_PACKET_OUT:
-            actions = _encode_actions(body.actions)
-            frame = bytes(body.frame)
-            total = _PACKET_OUT_HEAD.size + len(actions) + len(frame)
-            return (_PACKET_OUT_HEAD.pack(OFP_VERSION, t, total, xid,
-                                          body.buffer_id, body.in_port,
-                                          len(actions))
-                    + actions + frame)
+            frame = body.frame
+            return _PACKET_OUT_HEAD.pack(
+                OFP_VERSION, t, _PACKET_OUT_HEAD.size + len(frame), xid,
+                NO_BUFFER, PORT_CONTROLLER, _ACTION_OUTPUT_STRUCT.size,
+                _ACTION_OUTPUT, _ACTION_OUTPUT_STRUCT.size, body.out_port,
+                CTRL_MAX_LEN_NO_BUFFER) + frame
         if t == OFPT_PACKET_IN:
-            frame = bytes(body.frame)
-            total = _PACKET_IN_HEAD.size + len(frame)
+            frame = body.frame
             return _PACKET_IN_HEAD.pack(
-                OFP_VERSION, t, total, xid, body.buffer_id, body.total_len,
-                body.reason, body.table_id, body.cookie, _MATCH_TYPE_OXM, 12,
-                _OXM_CLASS_BASIC, 0, 4, body.in_port) + frame
+                OFP_VERSION, t, _PACKET_IN_HEAD.size + len(frame), xid,
+                NO_BUFFER, len(frame), REASON_ACTION, 0, 0, _MATCH_TYPE_OXM,
+                12, _OXM_CLASS_BASIC, 0, 4, body.in_port) + frame
         if t in _BYTES_BODY_TYPES:
             if not isinstance(body, (bytes, bytearray)):
                 raise UnencodableMessage("message type %d takes a bytes body"
                                          % t)
             payload = bytes(body)
         elif t == OFPT_FEATURES_REPLY:
-            payload = _FEATURES_BODY.pack(body.datapath_id, body.n_buffers,
-                                          body.n_tables, body.auxiliary_id,
-                                          body.capabilities, body.reserved)
+            payload = _FEATURES_BODY.pack(body, 0, 254, 0, 0, 0)
         elif t == OFPT_FLOW_MOD:
-            match = _encode_match(body.match)
-            actions = _encode_actions([OutputAction(body.out_port,
-                                                    body.max_len)])
-            instr = (_INSTR_HEADER.pack(_INSTR_APPLY_ACTIONS, 8 + len(actions))
-                     + actions)
-            payload = (_FLOW_MOD_FIXED.pack(body.cookie, 0, 0, OFPFC_ADD, 0, 0,
+            payload = (_FLOW_MOD_FIXED.pack(0, 0, 0, OFPFC_ADD, 0, 0,
                                             body.priority, NO_BUFFER, PORT_ANY,
                                             GROUP_ANY, 0)
-                       + match + instr)
+                       + _encode_match(body.match) + _TO_CONTROLLER)
         else:
             raise UnencodableMessage("cannot encode message type %d" % t)
         return _HEADER.pack(OFP_VERSION, t, HEADER_LEN + len(payload),
@@ -351,54 +311,45 @@ def encode_message(msg):
 
 
 def _decode_packet_in(data, pos, end):
-    if pos + _PACKET_IN_FIXED.size > end:
-        raise TruncatedMessage("packet_in body too short")
-    buffer_id, total_len, reason, table_id, cookie = \
-        _PACKET_IN_FIXED.unpack_from(data, pos)
-    pairs, pos = _decode_match(data, pos + _PACKET_IN_FIXED.size, end)
+    pairs, pos = _decode_match(data, pos + _PACKET_IN_FIXED_LEN, end)
     in_port = dict(pairs).get("in_port")
     if in_port is None:
         return None
     if pos + 2 > end:
         raise TruncatedMessage("packet_in pad missing")
-    return PacketInBody(buffer_id, total_len, reason, table_id, cookie,
-                        in_port, bytes(data[pos + 2:end]))
+    return PacketInBody(in_port, bytes(data[pos + 2:end]))
 
 
 def _decode_packet_out(data, pos, end):
     if pos + _PACKET_OUT_FIXED.size > end:
         raise TruncatedMessage("packet_out body too short")
-    buffer_id, in_port, actions_len = _PACKET_OUT_FIXED.unpack_from(data, pos)
+    actions_len = _PACKET_OUT_FIXED.unpack_from(data, pos)[0]
     pos += _PACKET_OUT_FIXED.size
     if pos + actions_len > end:
         raise TruncatedMessage("packet_out actions run past message")
-    actions = _decode_actions(data, pos, pos + actions_len)
-    if actions is None:
+    out_port = _output_port(data, pos, pos + actions_len)
+    if out_port is None:
         return None
-    return PacketOutBody(in_port, actions, bytes(data[pos + actions_len:end]),
-                         buffer_id)
+    return PacketOutBody(out_port, bytes(data[pos + actions_len:end]))
 
 
 def _decode_flow_mod(data, pos, end):
     if pos + _FLOW_MOD_FIXED.size > end:
         raise TruncatedMessage("flow_mod body too short")
-    (cookie, _cmask, _table, command, _idle, _hard, priority, _buf,
-     _out_port, _out_group, _flags) = _FLOW_MOD_FIXED.unpack_from(data, pos)
+    fixed = _FLOW_MOD_FIXED.unpack_from(data, pos)
+    command, priority = fixed[3], fixed[6]
     if command != OFPFC_ADD:
         return None
     pairs, pos = _decode_match(data, pos + _FLOW_MOD_FIXED.size, end)
-    if any(name is None or name == "in_port" for name, _value in pairs):
+    if not _is_flow_match([name for name, _value in pairs]):
         return None
     if pos + _INSTR_HEADER.size > end:
         raise TruncatedMessage("flow_mod instruction missing")
     itype, ilen = _TYPE_LEN.unpack_from(data, pos)
-    if itype != _INSTR_APPLY_ACTIONS or pos + ilen != end:
+    if itype != _INSTR_APPLY_ACTIONS or pos + ilen != end or _output_port(
+            data, pos + _INSTR_HEADER.size, end) != PORT_CONTROLLER:
         return None
-    actions = _decode_actions(data, pos + _INSTR_HEADER.size, end)
-    if actions is None or len(actions) != 1:
-        return None
-    return FlowModBody(cookie=cookie, priority=priority, match=pairs,
-                       out_port=actions[0].port, max_len=actions[0].max_len)
+    return FlowModBody(priority, pairs)
 
 
 def decode_message(data, pos=0):
@@ -409,7 +360,7 @@ def decode_message(data, pos=0):
     bytes are needed or when a message's contents run past its own declared
     length, BadVersion on a foreign version byte or a length below the
     header, and UnsupportedType (with the skippable length) for types
-    outside the supported subset.
+    and messages outside the supported subset.
     """
     have = len(data) - pos
     if have < HEADER_LEN:
@@ -434,7 +385,7 @@ def decode_message(data, pos=0):
     elif msg_type == OFPT_FEATURES_REPLY:
         if length < HEADER_LEN + _FEATURES_BODY.size:
             raise TruncatedMessage("features_reply body too short")
-        body = FeaturesReplyBody(*_FEATURES_BODY.unpack_from(data, start))
+        body = _FEATURES_BODY.unpack_from(data, start)[0]
     elif msg_type == OFPT_FLOW_MOD:
         body = _decode_flow_mod(data, start, end)
     else:

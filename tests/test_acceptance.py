@@ -37,15 +37,13 @@ def _random_message(rng):
     if kind == 3:
         return wire.features_request(xid)
     if kind == 4:
-        return wire.features_reply(xid, rng.randrange(2 ** 64),
-                                   capabilities=rng.randrange(2 ** 32))
+        return wire.features_reply(xid, rng.randrange(2 ** 64))
     if kind == 5:
         return wire.packet_out(xid, rng.randrange(2 ** 32),
                                rng.randbytes(rng.randrange(1, 256)))
     if kind == 6:
         return wire.packet_in(xid, rng.randrange(2 ** 32),
-                              rng.randbytes(rng.randrange(1, 256)),
-                              reason=rng.randrange(2))
+                              rng.randbytes(rng.randrange(1, 256)))
     fields = [("eth_type", 0x0800), ("ip_proto", 1),
               ("ipv4_dst", "%d.%d.%d.%d" % tuple(
                   rng.randrange(256) for _ in range(4))),

@@ -623,7 +623,7 @@ def test_served_query_is_parsed_once(monkeypatch):
     icmp_view = frames._icmp_view
     monkeypatch.setattr(frames, "_icmp_view",
                         lambda frame: parsed.append(frame) or icmp_view(frame))
-    stack.engine._on_packet_in(query, stack.loop.now_us(), 1)
+    stack.session.packet_in_handler(query, stack.loop.now_us(), 1)
     assert parsed == [query]
     assert stack.engine.counters["router_id_served"] == 1
 
@@ -661,6 +661,34 @@ def test_served_identity_reply_bytes_are_unchanged():
     assert served == bytes.fromhex(
         "02aaaaaaaa0102000000006408004500002a00000000400146350a000064c633"
         "6407c801c813000900040000fc000976616e746167652d31")
+
+
+def test_served_identity_reply_leaves_through_the_switch_that_asked():
+    """A second switch is attached, so the query's session is no longer
+    the newest; the reply still leaves as the first switch's PacketOut."""
+    stack = VirtualStack(make_topology())
+    stack.engine.set_router_config(True,
+                                   frames.RouterIdentity(64512, "vantage-1"))
+    ctrl_end, sw_end = transport.virtual_pair(stack.loop, lambda: 1000)
+    session = SwitchSession(stack.loop, ctrl_end)
+    second = netsim.SimSwitch(stack.loop, make_topology(dpid=2))
+    second.attach(sw_end)
+    session.ready.add_done_callback(
+        lambda _fut: stack.engine.attach_session(session))
+    stack.loop.run_until_idle()
+    assert stack.engine.session is session
+    second_emitted = len(second.emitted)  # the ARP that primes its port
+    query = frames.build_echo_request(
+        src_ip="198.51.100.7", dst_ip="10.0.0.100",
+        src_mac="02:aa:aa:aa:aa:01", dst_mac="02:00:00:00:00:64", icmp_id=9,
+        icmp_type=frames.ICMP_ROUTER_ID)
+    stack.switch.receive_dataplane(query, 1)
+    stack.loop.run_until_idle()
+    assert stack.engine.counters["router_id_served"] == 1
+    assert len(second.emitted) == second_emitted
+    _t, port, served = stack.switch.emitted[-1]
+    assert port == 1
+    assert frames.parse_reply(served).kind == frames.ReplyKind.ROUTER_ID_REPLY
 
 
 def test_router_id_serving_disabled_by_default():

@@ -1,6 +1,7 @@
 """Delay models, topology documents, and switch emulation."""
 
 import random
+import socket
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from ofprobe import frames, netsim, transport, wire
 from ofprobe.eventloop import EventLoop
 from ofprobe.report import truth_map
 from helpers import VirtualStack, make_topology
+from test_wire import flow_mod_naming
 
 PROBE_KW = dict(src_ip="10.0.0.100", src_mac="02:00:00:00:00:64",
                 dst_mac="02:00:00:00:00:01")
@@ -308,7 +310,7 @@ def test_switch_answers_handshake():
     assert types[0] == wire.OFPT_HELLO
     reply = [m for m in h.received
              if m.msg_type == wire.OFPT_FEATURES_REPLY][0]
-    assert reply.body.datapath_id == 0xBEE
+    assert reply.body == 0xBEE
     assert reply.xid == 2
 
 
@@ -328,6 +330,16 @@ def test_controller_hang_up_closes_the_switch_end():
     h.conn.close()
     h.loop.run_until_idle()
     assert h.switch._conn.closed
+
+
+def test_a_flow_mod_that_repeats_a_field_is_skipped():
+    h = SwitchHarness(make_topology())
+    h.conn.send(flow_mod_naming(3, 10))  # icmpv4_type -> a second ip_proto
+    h.send(wire.echo_request(7))
+    h.loop.run_until_idle()
+    assert (h.switch.flow_rules, h.switch._framer.skipped) == ([], 1)
+    assert [m.xid for m in h.received
+            if m.msg_type == wire.OFPT_ECHO_REPLY] == [7]
 
 
 def test_switch_echo_reply_mirrors_payload():
@@ -471,6 +483,13 @@ def test_event_log_file_round_trip(tmp_path):
         netsim.load_event_log(str(bad))
 
 
-def test_run_sim_switch_needs_an_endpoint():
-    with pytest.raises(ValueError):
-        netsim.run_sim_switch(EventLoop(), make_topology())
+def test_run_sim_switch_needs_an_endpoint(tmp_path):
+    """A dial that fails leaves no event log behind, open or on disk."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    path = tmp_path / "events.csv"
+    with pytest.raises(OSError):
+        netsim.run_sim_switch(EventLoop(), make_topology(),
+                              "127.0.0.1:%d" % port, event_log_path=str(path))
+    assert not path.exists()
