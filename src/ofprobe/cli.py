@@ -143,17 +143,28 @@ def cmd_traceroute(args):
 def _load_dump(source):
     if source.startswith("http://") or source.startswith("https://"):
         return _request("GET", source)
-    with open(source, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise CliError("cannot read dump %s: %s" % (source, exc))
 
 
 def cmd_report(args):
     dump = _load_dump(args.dump)
-    topology = netsim.load_topology(args.topology)
+    try:
+        topology = netsim.load_topology(args.topology)
+    except (OSError, ValueError, netsim.TopologyError) as exc:
+        # int() and float() in the parser raise ValueError on bad numbers
+        raise CliError("cannot read topology %s: %s" % (args.topology, exc))
     try:
         rep = report_mod.report_from_topology(dump, topology)
     except report_mod.MismatchedTargets as exc:
         raise CliError("dump target %s is not in the topology" % exc)
+    except KeyError as exc:
+        # a traceroute dump has hops, not probes
+        raise CliError("dump %s is not a ping dump: an entry has no %s"
+                       % (args.dump, exc))
     print("%-16s %10s %10s %10s %10s %8s"
           % ("target", "truth_ms", "first_ms", "mean_ms", "abs_err_ms",
              "rel_err"))

@@ -14,6 +14,9 @@ import selectors
 import time
 from collections import deque
 
+# select(2) watches only descriptors below FD_SETSIZE.
+FD_SETSIZE = 1024
+
 
 class Handle:
     """A scheduled callback that can be cancelled before it runs.  A
@@ -83,12 +86,24 @@ class Future:
             fn(self)
 
 
+def _check_watchable(fd):
+    if fd >= FD_SETSIZE:
+        raise ValueError("descriptor %d is past select()'s limit of %d"
+                         % (fd, FD_SETSIZE))
+
+
 class EventLoop:
     """Priority queue of timed callbacks with two interchangeable drivers.
 
     Queue entries are (when_us, seq, handle) tuples, so the heap orders
     them with C tuple comparisons; seq breaks ties in scheduling order,
     which runs callbacks due at the same instant first in, first out.
+
+    The realtime driver waits in select(2), whose timeout has microsecond
+    resolution: epoll and poll round every wait up to a whole millisecond,
+    which would make a timer due in 50 us fire up to 1 ms late.  select(2)
+    watches only descriptors below FD_SETSIZE (1,024), so add_reader and
+    add_writer refuse any other with ValueError.
     """
 
     def __init__(self, realtime=False):
@@ -99,7 +114,7 @@ class EventLoop:
         self._stopped = False
         if realtime:
             self._t0 = time.monotonic_ns()
-            self._selector = selectors.DefaultSelector()
+            self._selector = selectors.SelectSelector()
             self._readers = {}
             self._writers = {}
             self._pending_external = deque()
@@ -185,6 +200,7 @@ class EventLoop:
     # -- realtime driver -------------------------------------------------
 
     def add_reader(self, fd, fn, *args):
+        _check_watchable(fd)
         self._readers[fd] = (fn, args)
         self._reregister(fd)
 
@@ -193,6 +209,7 @@ class EventLoop:
         self._reregister(fd)
 
     def add_writer(self, fd, fn, *args):
+        _check_watchable(fd)
         self._writers[fd] = (fn, args)
         self._reregister(fd)
 

@@ -104,7 +104,11 @@ class TcpConnection:
         self._backlog = bytearray()
         self.backlog_overflows = 0
         self.closed = False
-        loop.add_reader(sock.fileno(), self._on_readable)
+        try:
+            loop.add_reader(sock.fileno(), self._on_readable)
+        except ValueError:
+            sock.close()
+            raise
 
     def set_receiver(self, fn):
         self._receiver = fn
@@ -180,7 +184,8 @@ class TcpConnection:
 
 
 class TcpListener:
-    """Accepts switch connections and wraps each in a TcpConnection."""
+    """Accepts switch connections and wraps each in a TcpConnection.  A
+    connection the loop cannot watch is closed and counted in refused."""
 
     def __init__(self, loop, host, port, on_accept):
         self._loop = loop
@@ -191,6 +196,7 @@ class TcpListener:
         self._sock.listen(16)
         self._sock.setblocking(False)
         self.port = self._sock.getsockname()[1]
+        self.refused = 0
         loop.add_reader(self._sock.fileno(), self._accept)
 
     def _accept(self):
@@ -198,8 +204,15 @@ class TcpListener:
             sock, addr = self._sock.accept()
         except (BlockingIOError, OSError):
             return
+        try:
+            conn = TcpConnection(self._loop, sock)
+        except ValueError as exc:
+            self.refused += 1
+            log.warning("refused switch connection from %s:%d: %s",
+                        addr[0], addr[1], exc)
+            return
         log.info("switch connection from %s:%d", *addr)
-        self._on_accept(TcpConnection(self._loop, sock), addr)
+        self._on_accept(conn, addr)
 
     def close(self):
         self._loop.remove_reader(self._sock.fileno())

@@ -185,3 +185,48 @@ def test_report_command_rejects_foreign_dump(tmp_path, capsys):
                    "--topology", str(topo_path)])
     assert rc == cli.EXIT_ERROR
     assert "not in the topology" in capsys.readouterr().err
+
+
+def test_report_command_rejects_a_traceroute_dump(tmp_path, capsys):
+    topo = make_topology()
+    topo.targets["192.0.2.9"] = netsim.TargetSpec(
+        base_rtt_us=30_000, hops=[("10.1.0.1", 2_000)])
+    stack = VirtualStack(topo)
+    stack.run_traceroute("192.0.2.9")
+    dump_path = tmp_path / "dump.json"
+    dump_path.write_text(json.dumps(stack.engine.dump_traceroute()))
+    topo_path = tmp_path / "topology.txt"
+    topo_path.write_text(netsim.format_topology(topo))
+    rc = cli.main(["report", "--dump", str(dump_path),
+                   "--topology", str(topo_path)])
+    assert rc == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "not a ping dump" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    "simtopo v2\n",                 # TopologyError: unsupported version
+    "simtopo v1\ndpid 0xzz\n",     # ValueError from int()
+])
+def test_report_command_rejects_a_bad_topology(tmp_path, capsys, text):
+    dump_path = tmp_path / "dump.json"
+    dump_path.write_text("{}")
+    topo_path = tmp_path / "topology.txt"
+    topo_path.write_text(text)
+    rc = cli.main(["report", "--dump", str(dump_path),
+                   "--topology", str(topo_path)])
+    assert rc == cli.EXIT_ERROR
+    assert capsys.readouterr().err.startswith(
+        "error: cannot read topology %s" % topo_path)
+
+
+@pytest.mark.parametrize("text", [None, "{not json"])
+def test_report_command_rejects_an_unreadable_dump(tmp_path, capsys, text):
+    dump_path = tmp_path / "dump.json"
+    if text is not None:
+        dump_path.write_text(text)
+    rc = cli.main(["report", "--dump", str(dump_path),
+                   "--topology", str(tmp_path / "topology.txt")])
+    assert rc == cli.EXIT_ERROR
+    assert capsys.readouterr().err.startswith(
+        "error: cannot read dump %s" % dump_path)

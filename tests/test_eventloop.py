@@ -1,6 +1,9 @@
 """Scheduler semantics on the virtual clock, plus the realtime driver."""
 
+import fcntl
+import os
 import queue
+import random
 import socket
 import threading
 import time
@@ -8,7 +11,8 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from ofprobe.eventloop import EventLoop, Future
+from ofprobe.eventloop import FD_SETSIZE, EventLoop, Future
+from ofprobe.report import percentile
 from ofprobe import transport
 
 
@@ -410,4 +414,99 @@ def test_a_far_off_timer_does_not_end_the_realtime_loop():
         loop.run_forever()
     finally:
         stopper.join()
+        loop.close()
+
+
+def test_realtime_timers_fire_within_half_a_millisecond():
+    """A chain of 400 timers due 50-3,000 us ahead.  epoll and poll round
+    each wait up to a whole millisecond, which made the p99 lateness about
+    1.1 ms; select(2) waits to the microsecond."""
+    loop = EventLoop(realtime=True)
+    rng = random.Random(1)
+    lateness = []
+
+    def schedule():
+        due = loop.now_us() + rng.randint(50, 3000)
+        loop.call_at(due, fire, due)
+
+    def fire(due):
+        lateness.append(loop.now_us() - due)
+        if len(lateness) < 400:
+            schedule()
+        else:
+            loop.stop()
+
+    schedule()
+    try:
+        loop.run_forever()
+    finally:
+        loop.close()
+    assert percentile(lateness, 99) <= 500
+
+
+def _past_select_limit(fd):
+    """A duplicate of fd numbered FD_SETSIZE or higher; it never replaces a
+    descriptor already open."""
+    return fcntl.fcntl(fd, fcntl.F_DUPFD, FD_SETSIZE)
+
+
+def test_a_descriptor_past_select_limit_is_refused_and_the_loop_runs_on():
+    loop = EventLoop(realtime=True)
+    r, w = os.pipe()
+    high = _past_select_limit(r)
+    try:
+        with pytest.raises(ValueError):
+            loop.add_reader(high, lambda: None)
+        with pytest.raises(ValueError):
+            loop.add_writer(high, lambda: None)
+        fired = []
+        loop.call_later(1000, fired.append, "timer")
+        loop.call_later(2000, loop.stop)
+        loop.run_forever()
+        assert fired == ["timer"]
+    finally:
+        for fd in (r, w, high):
+            os.close(fd)
+        loop.close()
+
+
+class _AcceptsPastSelectLimit:
+    """A listening socket whose accepted sockets are numbered past
+    FD_SETSIZE, as on a host with many descriptors open."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.accepted = []
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+    def accept(self):
+        sock, addr = self._sock.accept()
+        with sock:
+            high = socket.socket(fileno=_past_select_limit(sock.fileno()))
+        self.accepted.append(high)
+        return high, addr
+
+
+def test_listener_closes_and_counts_a_connection_past_select_limit(caplog):
+    loop = EventLoop(realtime=True)
+    handed_on = []
+    listener = transport.TcpListener(
+        loop, "127.0.0.1", 0, lambda conn, addr: handed_on.append(conn))
+    listener._sock = wrapped = _AcceptsPastSelectLimit(listener._sock)
+    fired = []
+    try:
+        with socket.create_connection(("127.0.0.1", listener.port)) as peer:
+            loop.call_later(20_000, fired.append, "timer")
+            loop.call_later(30_000, loop.stop)
+            loop.run_forever()
+            peer.settimeout(5)
+            assert peer.recv(1) == b""  # the controller hung up
+        assert listener.refused == 1 and handed_on == []
+        assert [s.fileno() for s in wrapped.accepted] == [-1]
+        assert fired == ["timer"]
+        assert "refused switch connection" in caplog.text
+    finally:
+        listener.close()
         loop.close()
